@@ -24,9 +24,7 @@ when the machine has at least as many cpus as workers.
 
 The **backend ladder** times every backend registered in
 :data:`repro.engines.ENGINES` (not just the two historical engines) on
-the same cycles, records each backend's kernel flavor (the compiled
-engine reports ``numba`` or ``csr`` depending on what the import guard
-found), verifies all backends bit-identical, and pairs a
+the same cycles, records each backend's kernel flavor, verifies all backends bit-identical, and pairs a
 compiled-vs-structured rotor timing per iteration; ``--check``
 additionally requires the compiled rotor round to beat the pure
 structured rotor at every ``n >= 4096``.  The partitioned backend's
@@ -212,7 +210,7 @@ def test_throughput_with_monitors(benchmark, graph):
             graph,
             make("rotor_router"),
             point_mass(N, 64 * N),
-            monitors=(
+            probes=(
                 FairnessMonitor(s=1),
                 CumulativeFairnessMonitor(),
                 FlowTracker(),

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.balancer import Balancer
 from repro.core.engine import Simulator
 from repro.core.metrics import final_plateau, time_to_discrepancy
-from repro.core.monitors import LoadBoundsMonitor, Monitor
+from repro.core.monitors import LoadBoundsMonitor
 from repro.graphs.balancing import BalancingGraph
 from repro.graphs.spectral import (
     continuous_balancing_time,
@@ -90,14 +90,14 @@ def measure_after_t(
     horizon_multiplier: float = 1.0,
     gap: float | None = None,
     max_rounds: int | None = None,
-    monitors: tuple[Monitor, ...] = (),
+    probes: tuple = (),
     plateau_window: int = 16,
 ) -> ConvergenceReport:
     """Run for ``O(T)`` rounds and report the final discrepancy plateau.
 
     The built-in load-bounds observer rides as a loads-only probe, so
-    supported balancers stay on the structured engine; extra legacy
-    ``monitors`` (if any) pin the dense engine as they always did.
+    supported balancers stay on the structured engine; extra
+    ``probes`` ride along at their declared capability.
     """
     if gap is None:
         gap = eigenvalue_gap(graph)
@@ -109,8 +109,7 @@ def measure_after_t(
         graph,
         balancer,
         initial_loads,
-        monitors=monitors,
-        probes=(bounds,),
+        probes=(bounds, *probes),
     )
     result = simulator.run(horizon)
     return ConvergenceReport(

@@ -202,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend: auto (default), or any registered "
             "engine — dense, structured, spmm (CSR SpMM gather), "
-            "compiled (fused rotor kernel; numba when installed, CSR "
-            "otherwise), partitioned (k partitions x worker processes "
+            "compiled (fused CSR rotor kernel), partitioned (k partitions x worker processes "
             "over shared memory; params via "
             "'partitioned:{\"workers\": 4}'); see --list-engines"
         ),

@@ -1,61 +1,18 @@
-"""Observers: the legacy ``Monitor`` base and the loads-only recorders.
+"""Loads-only recorders: discrepancy, load bounds, trajectories, periods.
 
-Historically every observer was a :class:`Monitor` receiving each
-round's dense ``(t, loads_before, sends, loads_after)`` — which forced
-the engines off the matrix-free structured path.  The observation layer
-is now capability-typed (:mod:`repro.core.probes`): observers are
-:class:`~repro.core.probes.Probe`\\ s declaring what they consume, and
-the recorders in this module — discrepancy, load bounds, trajectory
-snapshots, period detection — consume only load vectors, so they ride
-the structured engine and the vectorized batch runner at full speed.
-
-:class:`Monitor` remains as the *legacy* base class: it is simply a
-dense-requiring probe (``needs = "sends"``), so third-party subclasses
-keep working unchanged — at the cost of pinning the run to the dense
-engine.  **Deprecated:** new observers should subclass
-:class:`~repro.core.probes.Probe` directly and declare the cheapest
-capability they can live with.
+Observers are capability-typed :class:`~repro.core.probes.Probe`\\ s
+declaring what they consume.  The recorders in this module consume only
+load vectors, so they ride the structured engine and the stacked batch
+executor at full speed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.balancer import Balancer
 from repro.core.metrics import discrepancy
-from repro.core.probes import LOADS, SENDS, Probe, register_probe
+from repro.core.probes import LOADS, Probe, register_probe
 from repro.core.trace import SamplingSchedule
-from repro.graphs.balancing import BalancingGraph
-
-
-class Monitor(Probe):
-    """Legacy base class for dense observers (no-op by default).
-
-    .. deprecated::
-        Subclass :class:`~repro.core.probes.Probe` instead and declare
-        a capability; a ``Monitor`` is a probe that demands dense
-        ``(n, d+)`` sends matrices and therefore forces the engines off
-        their structured fast path.
-    """
-
-    needs = SENDS
-
-    def start(
-        self,
-        graph: BalancingGraph,
-        balancer: Balancer,
-        loads: np.ndarray,
-    ) -> None:
-        """Called once before the first round with the initial vector."""
-
-    def observe(
-        self,
-        t: int,
-        loads_before: np.ndarray,
-        sends: np.ndarray,
-        loads_after: np.ndarray,
-    ) -> None:
-        """Called after every completed round ``t``."""
 
 
 class SampledRecorder(Probe):

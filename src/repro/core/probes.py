@@ -1,16 +1,12 @@
 """Capability-typed probes: observers that scale *with* the engine.
 
-The legacy :class:`~repro.core.monitors.Monitor` contract hands every
-observer a dense ``(n, d+)`` sends matrix, which forces the engines off
-their matrix-free structured fast path even for observers that only
-ever look at load vectors.  A :class:`Probe` instead *declares what it
-consumes* and the engine feeds it the cheapest representation it
-accepts:
+A :class:`Probe` *declares what it consumes* and the engine feeds it
+the cheapest representation it accepts:
 
 * ``needs = "loads"`` — the probe only reads load vectors.  It runs on
-  the structured engine and inside the batch runner's vectorized
-  ``(replicas, n)`` executor; the engine calls :meth:`Probe.\
-observe_loads` with the post-round vector.
+  the structured engine and inside a stacked ``(replicas, n)`` batch;
+  the engine calls :meth:`Probe.observe_loads` with the post-round
+  vector.
 * ``needs = "sends"`` — the probe consumes per-port sends.  On the
   dense engine it receives real ``(n, d+)`` matrices via
   :meth:`Probe.observe`; if it also sets ``accepts_structured`` it can
@@ -21,7 +17,7 @@ observe_loads` with the post-round vector.
 
 A probe that needs sends and does *not* accept structured rounds is
 "dense-requiring": ``engine="auto"`` falls back to the dense engine for
-it, exactly as legacy monitors always did.
+it.
 
 Probes register by name in :data:`PROBES` (``@register_probe``) so
 scenario JSON and the CLI can request them declaratively via
@@ -118,13 +114,11 @@ class Probe:
 
 
 class MonitorProbe(Probe):
-    """Adapter presenting a duck-typed legacy monitor as a probe.
+    """Adapter presenting a duck-typed observer as a probe.
 
     Anything with ``start(graph, balancer, loads)`` and
-    ``observe(t, loads_before, sends, loads_after)`` methods — e.g. a
-    third-party observer written against the pre-probe API without
-    subclassing :class:`~repro.core.monitors.Monitor` — wraps into a
-    dense-requiring probe.
+    ``observe(t, loads_before, sends, loads_after)`` methods that does
+    not subclass :class:`Probe` wraps into a dense-requiring probe.
     """
 
     needs = SENDS
@@ -149,9 +143,8 @@ class MonitorProbe(Probe):
 def as_probe(observer) -> Probe:
     """Coerce ``observer`` into a :class:`Probe`.
 
-    Probe instances (including all built-in monitors, which now derive
-    from :class:`Probe`) pass through; duck-typed legacy observers wrap
-    in :class:`MonitorProbe`.
+    Probe instances pass through; duck-typed observers wrap in
+    :class:`MonitorProbe`.
     """
     if isinstance(observer, Probe):
         return observer

@@ -1,9 +1,9 @@
 """Execution backends as registry plugins.
 
-``repro.engines`` owns *how* a round's arrays move — the orchestrators
-(:class:`~repro.core.engine.Simulator`,
-:class:`~repro.scenarios.batch.BatchRunner`) delegate the per-round
-computation to a registered :class:`EngineBackend` and keep everything
+``repro.engines`` owns *how* a round's arrays move — the round executor
+(:class:`~repro.scenarios.batch.BatchRunner`, and its 1-replica view
+:class:`~repro.core.engine.Simulator`) delegates the per-round
+computation to a registered :class:`EngineBackend` and keeps everything
 else (validation, conservation, probes, faults, churn).  See
 :mod:`repro.engines.base` for the backend contract and the built-in
 modules for the four shipped backends:
@@ -14,7 +14,7 @@ name                    protocol    kernel
 ``dense``               dense       numpy gather (universal fallback)
 ``structured``          structured  numpy matrix-free (auto fast path)
 ``spmm``                dense       scipy-CSR SpMM gather
-``compiled``            structured  fused rotor round (numba, or CSR)
+``compiled``            structured  fused rotor round (one CSR matvec)
 ``partitioned``         structured  k partitions x worker processes + shm
 ======================  ==========  ========================================
 

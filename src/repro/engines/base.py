@@ -1,7 +1,8 @@
 """Execution-backend plugin API — how a round's arrays actually move.
 
-The engines (:class:`~repro.core.engine.Simulator`,
-:class:`~repro.scenarios.batch.BatchRunner`) own *orchestration*: round
+The round executor (:class:`~repro.scenarios.batch.BatchRunner`, and
+its 1-replica view :class:`~repro.core.engine.Simulator`) owns
+*orchestration*: round
 ordering, validation, fault/churn/injection bookkeeping, conservation
 checks, probe feeding.  What they delegate to a backend is the pure
 array computation of one round:
@@ -25,9 +26,11 @@ all protocol state is integer, so alternative kernels (CSR SpMM, fused
 compiled loops) are exact, not approximate.  The cross-backend property
 suite enforces this for every registered name.
 
-A backend instance is private to one ``Simulator``/``BatchRunner`` and
+A backend instance is private to one executor and
 may cache per-graph precomputes (gather indices, sparse operators)
-keyed by graph identity; :meth:`EngineBackend.refresh_topology` is
+keyed by the graph object itself (a ``weakref.WeakKeyDictionary``,
+never ``id(graph)``, which a new graph can inherit once the old one is
+freed); :meth:`EngineBackend.refresh_topology` is
 called after every churn event so those caches are repaired or dropped
 in step with the balancer's own incremental refresh.
 """
@@ -62,7 +65,7 @@ class EngineBackend:
             refuse dense-demanding observers, dense backends work with
             everything.
         kernel: short label of the compute flavor actually in use
-            (``"numpy"``, ``"csr"``, ``"numba"``) — surfaced by
+            (``"numpy"``, ``"csr"``, ``"shm"``) — surfaced by
             ``--list-engines`` and the E13 per-backend rows.
     """
 

@@ -9,6 +9,8 @@ existed.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.engines.base import (
@@ -34,17 +36,19 @@ class DenseEngine(EngineBackend):
     kernel = "numpy"
 
     def __init__(self) -> None:
-        self._flat: dict[int, np.ndarray] = {}
+        # Keyed by the graph object, not id(graph): a freed graph's id
+        # can be reused by a new graph, which must never inherit it.
+        self._flat: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _flat_for(self, graph) -> np.ndarray:
         # Token arriving at u over port j was sent by adjacency[u, j]
         # on port reverse_port[u, j].
-        flat = self._flat.get(id(graph))
+        flat = self._flat.get(graph)
         if flat is None:
             flat = (
                 graph.adjacency * graph.total_degree + graph.reverse_port
             ).ravel()
-            self._flat[id(graph)] = flat
+            self._flat[graph] = flat
         return flat
 
     def incoming(self, graph, sends: np.ndarray) -> np.ndarray:
@@ -61,7 +65,7 @@ class DenseEngine(EngineBackend):
         # The flat index is only cached on the shared static graph of a
         # vectorized batch; churned replicas take the two-array path.
         # Dropping is therefore both correct and effectively free.
-        self._flat.pop(id(graph), None)
+        self._flat.pop(graph, None)
 
 
 @register_engine

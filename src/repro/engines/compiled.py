@@ -4,76 +4,27 @@ The rotor-router round is the one structured computation that stays
 python-bound at scale: ``StructuredRound.apply`` materializes the
 ``(n, d)`` window-hit matrix, gathers it through ``reverse_flat``, and
 sums — five full passes over ``(n, d)`` plus two temporaries.  This
-backend fuses the whole round:
+backend fuses the whole round into one **scipy-CSR** operator
+``M = R - S`` (``+1`` at each reverse-edge slot, ``-1`` at each own
+port slot, ``2d`` entries per row) so that
 
-* with **numba** installed, one jit loop over the nodes evaluates the
-  outgoing window hits, the reverse-edge share/hit gather and the load
-  update in a single pass — no intermediate ``(n, d)`` array at all;
-* without numba it falls back to a fused **scipy-CSR** operator
-  ``M = R - S`` (``+1`` at each reverse-edge slot, ``-1`` at each own
-  port slot, ``2d`` entries per row) so that
+    ``new = loads + M @ (quotient[:, None] + hits).ravel()``
 
-      ``new = loads + M @ (quotient[:, None] + hits).ravel()``
-
-  replaces the gather/reshape/sum chain with one compiled matvec over
-  preallocated buffers — measured ~2x over the numpy structured round
-  at n >= 4096.
-
-The import guard is graceful: the backend always registers and always
-runs (``kernel`` reports which flavor is active).  Set
-``REPRO_DISABLE_NUMBA=1`` to force the CSR flavor even where numba is
-installed — the CI leg that proves the fallback path uses exactly this.
-All arithmetic is ``int64``, so both flavors are bit-identical to the
-numpy engines.  Windowless rounds (SEND-style shares, batched stacks)
-are already a single numpy gather and are delegated unchanged.
+replaces the gather/reshape/sum chain with one compiled matvec over
+preallocated buffers — measured ~2x over the numpy structured round at
+n >= 4096.  All arithmetic is ``int64``, so the result is bit-identical
+to the numpy engines.  Windowless rounds (SEND-style shares, batched
+stacks) are already a single numpy gather and are delegated unchanged.
 """
 
 from __future__ import annotations
 
-import os
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.engines.base import STRUCTURED, EngineBackend, register_engine
-
-try:
-    if os.environ.get("REPRO_DISABLE_NUMBA"):
-        raise ImportError("numba disabled via REPRO_DISABLE_NUMBA")
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    njit = None
-
-KERNEL = "numba" if njit is not None else "csr"
-
-
-if njit is not None:  # pragma: no cover - numba absent in CI base image
-
-    @njit(nogil=True)
-    def _rotor_round_numba(
-        loads, share, extra, rotors, positions, adjacency, reverse_port,
-        d_plus, out,
-    ):
-        n, degree = adjacency.shape
-        for u in range(n):
-            acc = loads[u] - degree * share[u]
-            rotor_u = rotors[u]
-            extra_u = extra[u]
-            for j in range(degree):
-                offset = positions[u, j] - rotor_u
-                if offset < 0:
-                    offset += d_plus
-                if offset < extra_u:
-                    acc -= 1
-                v = adjacency[u, j]
-                port = reverse_port[u, j]
-                offset = positions[v, port] - rotors[v]
-                if offset < 0:
-                    offset += d_plus
-                acc += share[v]
-                if offset < extra[v]:
-                    acc += 1
-            out[u] = acc
 
 
 class _RotorOperator:
@@ -119,14 +70,15 @@ class _RotorOperator:
 
 @register_engine
 class CompiledEngine(EngineBackend):
-    """Fused rotor-window rounds (numba jit, or CSR without numba)."""
+    """Fused rotor-window rounds through one CSR operator per graph."""
 
     name = "compiled"
     protocol = STRUCTURED
-    kernel = KERNEL
+    kernel = "csr"
 
     def __init__(self) -> None:
-        self._ops: dict[int, _RotorOperator] = {}
+        # Keyed by the graph object: a reused id(graph) must miss.
+        self._ops: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def apply(self, graph, compact, loads: np.ndarray) -> np.ndarray:
         window = compact.window
@@ -134,25 +86,10 @@ class CompiledEngine(EngineBackend):
             # SEND-style rounds (including batched stacks) are already
             # one numpy gather; nothing to fuse.
             return compact.apply(graph, loads)
-        share = compact.edge_share
-        if njit is not None:
-            out = np.empty_like(loads)
-            _rotor_round_numba(
-                loads,
-                share,
-                window.extra,
-                window.rotors,
-                window.positions,
-                graph.adjacency,
-                graph.reverse_port,
-                graph.total_degree,
-                out,
-            )
-            return out
-        ops = self._ops.get(id(graph))
+        ops = self._ops.get(graph)
         if ops is None:
             ops = _RotorOperator(graph)
-            self._ops[id(graph)] = ops
+            self._ops[graph] = ops
         degree = graph.degree
         np.subtract(
             window.positions[:, :degree],
@@ -161,15 +98,15 @@ class CompiledEngine(EngineBackend):
         )
         np.mod(ops.offsets, graph.total_degree, out=ops.offsets)
         np.less(ops.offsets, window.extra[:, None], out=ops.hits)
-        np.add(share[:, None], ops.hits, out=ops.values)
+        np.add(compact.edge_share[:, None], ops.hits, out=ops.values)
         return loads + (ops.matrix @ ops.values.ravel())
 
     def refresh_topology(self, graph, dirty=None) -> None:
-        ops = self._ops.get(id(graph))
+        ops = self._ops.get(graph)
         if ops is None:
             return
         if dirty is None:
-            del self._ops[id(graph)]
+            del self._ops[graph]
             return
         rows = np.asarray(dirty, dtype=np.int64)
         if rows.size:

@@ -41,6 +41,7 @@ Execution modes (``engine="partitioned:{...}"`` params):
 
 from __future__ import annotations
 
+import itertools
 import os
 import secrets
 import weakref
@@ -296,10 +297,13 @@ class _PosState:
     so the full ``(n, d+)`` positions array never ships per round.
     """
 
-    __slots__ = ("key", "pos_local", "pos_rev", "pending")
+    __slots__ = ("key", "source", "pos_local", "pos_rev", "pending")
 
     def __init__(self, key, graph, book, positions) -> None:
         self.key = key
+        # The positions array this state was built from; a new array
+        # that reuses a freed one's id must not inherit its state.
+        self.source = weakref.ref(positions)
         self.pending: list = []
         d = graph.degree
         self.pos_local = []
@@ -391,9 +395,11 @@ class PartitionedEngine(EngineBackend):
         self.workers = workers
         self.min_nodes = int(min_nodes)
         self.inline = inline
-        # Graph identity -> _GraphState; same per-runner id-keyed cache
-        # discipline as the spmm/compiled operator caches.
-        self._states: dict[int, _GraphState] = {}
+        # Graph object -> _GraphState, like the spmm/compiled operator
+        # caches.  Worker-side state is keyed by a per-engine counter,
+        # so a graph that reuses a freed graph's id gets a fresh token.
+        self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._tokens = itertools.count()
         self._runtime: _Runtime | None = None
 
     # -- state ----------------------------------------------------------
@@ -406,16 +412,15 @@ class PartitionedEngine(EngineBackend):
         return graph.num_nodes >= self.min_nodes
 
     def _state(self, graph) -> _GraphState:
-        token = id(graph)
-        state = self._states.get(token)
+        state = self._states.get(graph)
         if state is None:
             state = _GraphState(
-                token,
+                next(self._tokens),
                 graph,
                 min(self.workers, graph.num_nodes),
                 self._use_processes(graph),
             )
-            self._states[token] = state
+            self._states[graph] = state
         return state
 
     def _runtime_for(self, state: _GraphState) -> _Runtime:
@@ -466,17 +471,18 @@ class PartitionedEngine(EngineBackend):
                 )
 
     def _pos_state(self, state: _GraphState, graph, window) -> _PosState:
-        key = id(window.positions)
-        pos = state.pos.get(key)
-        if pos is None:
-            pos = _PosState(key, graph, state.book, window.positions)
-            state.pos[key] = pos
+        pos = state.pos.get(id(window.positions))
+        if pos is None or pos.source() is not window.positions:
+            pos = _PosState(
+                next(self._tokens), graph, state.book, window.positions
+            )
+            state.pos[id(window.positions)] = pos
             if state.processes:
                 for part in range(state.book.parts):
                     state.updates[part].append(
                         {
                             "pos_init": {
-                                "key": key,
+                                "key": pos.key,
                                 "pos_local": pos.pos_local[part].copy(),
                                 "pos_rev": pos.pos_rev[part].copy(),
                             }
@@ -547,13 +553,13 @@ class PartitionedEngine(EngineBackend):
     # -- topology churn -------------------------------------------------
 
     def refresh_topology(self, graph, dirty=None) -> None:
-        state = self._states.get(id(graph))
+        state = self._states.get(graph)
         if state is None:
             return
         if dirty is None:
             # Unknown mutation: rebuild from scratch on next apply (a
             # fresh init payload replaces the workers' state wholesale).
-            del self._states[id(graph)]
+            del self._states[graph]
             return
         rows = np.asarray(dirty, dtype=np.int64)
         if rows.size == 0:

@@ -16,6 +16,8 @@ gather — integer addition is exact in any order.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -74,13 +76,14 @@ class SpmmEngine(EngineBackend):
     kernel = "csr"
 
     def __init__(self) -> None:
-        self._ops: dict[int, _GatherOperator] = {}
+        # Keyed by the graph object: a reused id(graph) must miss.
+        self._ops: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _operator(self, graph) -> _GatherOperator:
-        ops = self._ops.get(id(graph))
+        ops = self._ops.get(graph)
         if ops is None:
             ops = _GatherOperator(graph)
-            self._ops[id(graph)] = ops
+            self._ops[graph] = ops
         return ops
 
     def incoming(self, graph, sends: np.ndarray) -> np.ndarray:
@@ -93,11 +96,11 @@ class SpmmEngine(EngineBackend):
         )
 
     def refresh_topology(self, graph, dirty=None) -> None:
-        ops = self._ops.get(id(graph))
+        ops = self._ops.get(graph)
         if ops is None:
             return
         if dirty is None:
-            del self._ops[id(graph)]
+            del self._ops[graph]
             return
         rows = np.asarray(dirty, dtype=np.int64)
         if rows.size:

@@ -772,10 +772,10 @@ class SuiteExecutor:
                         for i in shard_ids
                         for result in parts[i].results
                     ],
-                    monitors=[
-                        monitors
+                    probes=[
+                        probes
                         for i in shard_ids
-                        for monitors in parts[i].monitors
+                        for probes in parts[i].probes
                     ],
                 )
             )
@@ -790,7 +790,7 @@ def _result_from_records(
         graph=None,
         executor=executor_label,
         results=[RecordedRun(record) for record in records],
-        monitors=[() for _ in records],
+        probes=[() for _ in records],
     )
 
 

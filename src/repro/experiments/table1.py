@@ -97,7 +97,7 @@ def run_table1(config: Table1Config | None = None) -> ExperimentResult:
     )
     # The NL column needs only load extremes — a loads-only probe, so
     # every supported algorithm's measurement rides the structured
-    # engine instead of being pinned dense by a legacy monitor.
+    # engine.
     after_t_suite = ScenarioSuite.cartesian(
         graphs=graph_spec,
         algorithms=algorithms,

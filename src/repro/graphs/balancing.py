@@ -409,11 +409,9 @@ def estimate_memory_bytes(
     * ``spmm`` — the dense baseline plus its ``(n, n·d+)`` CSR gather
       operator: ``n·d`` int64 data entries plus index arrays (scipy
       downcasts indices to int32 while ``n·d+`` fits).
-    * ``compiled`` — the structured baseline plus the CSR-fallback
-      rotor operator (``2·n·d`` entries: +1 reverse-edge / -1 own-port
+    * ``compiled`` — the structured baseline plus the CSR rotor
+      operator (``2·n·d`` entries: +1 reverse-edge / -1 own-port
       halves) and its three preallocated ``(n, d)`` round buffers.
-      The numba kernel variant skips the CSR operator, so this is the
-      upper of the two flavors.
     * ``partitioned`` — the structured baseline plus the per-partition
       remapped adjacency and the two rotor-position precomputes (three
       ``(n, d)`` int64 arrays across all partitions) and the four

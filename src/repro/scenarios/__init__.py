@@ -2,9 +2,10 @@
 
 This is the system's front door: describe *what to run* — graph family,
 initial workload, algorithm, stop rule, replicas — and let the runtime
-decide *how to execute it* (looped simulators or one vectorized batch).
-See :mod:`repro.scenarios.spec` for the data model and
-:mod:`repro.scenarios.batch` for the stacked-array engine.
+decide *how to execute it* (one simulator per replica or one stacked
+batch, both through the same round executor).  See
+:mod:`repro.scenarios.spec` for the data model and
+:mod:`repro.scenarios.batch` for the executor.
 """
 
 from repro.core.probes import ProbeSpec

@@ -1,31 +1,25 @@
-"""Vectorized batch execution of scenario replicas.
+"""The round executor: every run is a stack of replicas.
 
-The looped baseline runs one :class:`~repro.core.engine.Simulator` per
-replica; every round then costs ``replicas`` sets of small numpy calls,
-which at practical sizes (``n`` in the hundreds) is pure interpreter
-overhead.  :class:`BatchRunner` instead stacks all replicas into one
-``(replicas, n)`` array and executes a whole batch round with a handful
-of large operations — the gather through the graph's reverse-port map,
-the conservation check, and (for stateless schemes implementing
-``sends_batch``) the send rule itself all broadcast over the replica
-axis.
+A round of the discrete process (Section 1.3 of the paper) is one fixed
+pipeline, written here once: the round-opening phases (topology churn,
+fault epochs, injection: :class:`RoundPhase`), the send rule, sends
+validation and the overdraw check, the backend's gather or matrix-free
+apply (:mod:`repro.engines`), phase settlement (fault corrections), and
+finally the conservation check, the discrepancy history and the probes.
 
-Like the looped engine, the runner executes each round either from the
-balancer's dense ``(replicas, n, d+)`` sends or — when every balancer
-implements ``sends_structured`` — matrix-free from compact
-:class:`~repro.core.structured.StructuredRound` descriptions, which at
-large ``n`` removes the dominant allocation entirely (``engine="auto"``
-picks the structured path whenever it is available).
-
-Semantics are bit-identical to the looped baseline: replica ``r`` of a
-batch run produces the same load trajectory as a fresh ``Simulator``
-driven with the same balancer and initial vector (the parity tests
-enforce this replica-for-replica).
+:class:`BatchRunner` runs that pipeline over a ``(replicas, n)`` load
+stack.  A stateless balancer implementing ``sends_batch`` may be shared
+by all replicas and evaluates the whole stack in one call; otherwise
+each replica runs its own balancer on its own row (and, under topology
+churn, on its own graph copy).  :class:`~repro.core.engine.Simulator`
+is the 1-replica view, so a batch replica and a ``Simulator`` built
+from the same inputs run the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,43 +32,35 @@ from repro.core.errors import (
     NegativeLoadError,
 )
 from repro.core.loads import validate_delta, validate_load_matrix
-from repro.engines import (
-    ENGINES,
-    STRUCTURED,
-    create_engine,
-    engine_names,
-    split_engine_spec,
-)
-from repro.core.probes import Probe, build_probes, loads_only
+from repro.core.probes import LOADS, Probe, build_probes, dense_required
+from repro.core.trace import RunRecord, build_record
+from repro.dynamics.spec import DynamicsSpec
+from repro.engines import ENGINES, STRUCTURED, create_engine, engine_names
+from repro.engines import split_engine_spec
 from repro.faults.schedules import (
     apply_round_faults,
     dense_port_values,
     structured_port_values,
     validate_round_faults,
 )
-from repro.core.trace import RunRecord, build_record
+from repro.faults.spec import FaultSpec
 from repro.graphs.balancing import BalancingGraph
+from repro.specs import coerce_spec
 from repro.topology.schedules import (
     apply_topology_events,
     validate_topology_events,
 )
+from repro.topology.spec import TopologySpec
 
 
 @dataclass
 class BatchResult:
-    """Outcome of a batch run: one row per replica.
+    """Outcome of a batch run: one entry (or row) per replica.
 
-    Attributes:
-        initial_loads: ``(replicas, n)`` stacked starting vectors.
-        final_loads: ``(replicas, n)`` vectors after the last round each
-            replica executed.
-        rounds_executed: per-replica executed round counts.
-        stopped_early: per-replica early-stop flags (``run_until``).
-        histories: per-replica discrepancy trajectories (empty lists if
-            recording was off).
-        records: per-replica columnar
-            :class:`~repro.core.trace.RunRecord`\\ s (engine summary
-            plus any attached probes' columns and scalars).
+    ``initial_loads``/``final_loads`` are ``(replicas, n)`` stacks;
+    ``histories`` is empty when recording was off; ``records`` are the
+    columnar :class:`~repro.core.trace.RunRecord`\\ s (engine summary
+    plus every probe's columns and scalars).
     """
 
     initial_loads: np.ndarray
@@ -87,12 +73,8 @@ class BatchResult:
     def __len__(self) -> int:
         return self.initial_loads.shape[0]
 
-    @property
-    def final_discrepancies(self) -> np.ndarray:
-        return self.final_loads.max(axis=1) - self.final_loads.min(axis=1)
-
     def replica(self, index: int) -> SimulationResult:
-        """Replica ``index`` repackaged as a looped-engine result."""
+        """Replica ``index`` repackaged as a single-run result."""
         return SimulationResult(
             initial_loads=self.initial_loads[index].copy(),
             final_loads=self.final_loads[index].copy(),
@@ -101,9 +83,7 @@ class BatchResult:
                 list(self.histories[index]) if self.histories else []
             ),
             stopped_early=bool(self.stopped_early[index]),
-            record=(
-                self.records[index] if self.records else None
-            ),
+            record=self.records[index] if self.records else None,
         )
 
     def as_simulation_results(self) -> list[SimulationResult]:
@@ -111,57 +91,181 @@ class BatchResult:
         return [self.replica(index) for index in range(len(self))]
 
 
+class RoundPhase:
+    """One round-opening axis, holding one schedule per replica.
+
+    The executor calls :meth:`start` per replica before the first round,
+    :meth:`open_round` at the top of every round for each active replica
+    (phases in list order, before the send rule), :meth:`settle` on the
+    replica's fresh post-round row, and :meth:`summary` for its record.
+    ``open_round`` and ``settle`` edit the row in place and return the
+    change to the replica's token total, so conservation stays exact.
+    Schedules come as a registry spec (replica ``r`` is built with
+    ``seed + r``, independent of the batch size), a list of one
+    instance per replica, or one instance for one replica.
+    """
+
+    spec_type: type  # a RegistrySpec; builds (or coerces) one schedule
+
+    def __init__(self, value, replicas: int) -> None:
+        spec_type = self.spec_type
+        instance_type = spec_type.instance_type
+        if isinstance(value, (list, tuple)):
+            self.schedules = list(value)
+        elif replicas != 1 and isinstance(value, instance_type):
+            raise ValueError(
+                f"a single {instance_type.__name__} instance cannot be "
+                f"shared across {replicas} replicas (its state would be "
+                f"corrupted); pass a {spec_type.__name__} or one "
+                "instance per replica"
+            )
+        else:
+            self.schedules = [
+                coerce_spec(value, spec_type, r) for r in range(replicas)
+            ]
+        if len(self.schedules) != replicas:
+            raise ValueError(
+                f"expected one {spec_type.kind} schedule per replica, "
+                f"got {len(self.schedules)} for {replicas} replicas"
+            )
+        self.counts = [0] * replicas
+
+    def start(self, replica: int, graph, loads: np.ndarray) -> None:
+        self.schedules[replica].start(graph, loads)
+
+    def open_round(self, runner, replica: int, loads: np.ndarray) -> int:
+        return 0
+
+    def settle(self, runner, replica, loads, port_values) -> int:
+        return 0
+
+    def summary(self, replica: int) -> dict:
+        return {}
+
+
+class TopologyPhase(RoundPhase):
+    """Churn on the replica's private graph copy; only dirty rows are
+    repaired, and leaving nodes hand their load to neighbours."""
+
+    spec_type = TopologySpec
+
+    def open_round(self, runner, replica, loads) -> int:
+        graph = runner._graphs[replica]
+        events = self.schedules[replica].round_events(runner.round, loads)
+        if events is None or events.is_empty():
+            return 0
+        if runner.validate_every_round and not events.trusted:
+            validate_topology_events(events, graph)
+        apply_topology_events(graph, events, loads)
+        dirty = graph.consume_dirty()
+        runner.balancers[replica].refresh_topology(graph, dirty)
+        runner._backend.refresh_topology(graph, dirty)
+        self.counts[replica] += 1
+        return 0
+
+    def summary(self, replica) -> dict:
+        schedule = self.schedules[replica]
+        return {
+            "topology_schedule": schedule.name,
+            "topology_rounds": self.counts[replica],
+            **schedule.summary(),
+        }
+
+
+class FaultPhase(RoundPhase):
+    """Crash/recover epochs open the round; afterwards sends on dead
+    links bounce back and dropped sends leave the tracked total."""
+
+    spec_type = FaultSpec
+
+    def __init__(self, value, replicas: int) -> None:
+        super().__init__(value, replicas)
+        self.current: list = [None] * replicas
+
+    def open_round(self, runner, replica, loads) -> int:
+        schedule = self.schedules[replica]
+        faults = schedule.round_state(runner.round, loads)
+        self.current[replica] = faults
+        if faults is None:
+            return 0
+        if runner.validate_every_round and not faults.trusted:
+            validate_round_faults(faults, runner.graph)
+        if faults.load_delta is None:
+            return 0
+        delta = validate_delta(
+            faults.load_delta, loads, schedule.name, runner.round
+        )
+        loads += delta
+        return int(delta.sum())
+
+    def settle(self, runner, replica, loads, port_values) -> int:
+        faults = self.current[replica]
+        if faults is None:
+            return 0
+        dropped = apply_round_faults(loads, runner.graph, faults, port_values)
+        self.counts[replica] += dropped
+        return -dropped
+
+    def summary(self, replica) -> dict:
+        schedule = self.schedules[replica]
+        return {
+            "fault_schedule": schedule.name,
+            "tokens_dropped": self.counts[replica],
+            **schedule.summary(),
+        }
+
+
+class InjectionPhase(RoundPhase):
+    """The dynamic workload's delta (the adversary moves first)."""
+
+    spec_type = DynamicsSpec
+
+    def open_round(self, runner, replica, loads) -> int:
+        injector = self.schedules[replica]
+        delta = injector.delta(runner.round, loads)
+        delta = validate_delta(delta, loads, injector.name, runner.round)
+        # In place: a fresh O(n) array per round costs more than the add.
+        loads += delta
+        moved = int(delta.sum())
+        self.counts[replica] += moved
+        return moved
+
+    def summary(self, replica) -> dict:
+        return {
+            "tokens_injected": self.counts[replica],
+            **self.schedules[replica].summary(),
+        }
+
+
 class BatchRunner:
     """Drives ``replicas`` independent runs as one stacked array.
 
     Args:
         graph: the shared balancing graph ``G+``.
-        balancers: either one balancer per replica, or a single
-            stateless balancer implementing ``sends_batch`` (shared
-            across all replicas and evaluated fully vectorized).
+        balancers: one balancer per replica, or a single stateless
+            balancer implementing ``sends_batch`` (shared by all
+            replicas and evaluated over the whole stack).
         initial_loads: ``(replicas, n)`` nonnegative integer array.
-        probes: per-replica observer sets — a sequence of ``replicas``
-            collections of loads-only probes (specs, factories, or
-            instances).  Loads-only is the price of staying on the
-            stacked vectorized path; sends-consuming probes need the
-            looped :class:`~repro.core.engine.Simulator`.
-        dynamics: optional dynamic workload.  A
-            :class:`~repro.dynamics.spec.DynamicsSpec` builds one fresh
-            injector per replica (seeded specs offset ``seed + r``, so
-            replica ``r``'s event stream is independent of the batch
-            size); alternatively a sequence of ``replicas`` ready
-            :class:`~repro.dynamics.injectors.Injector` instances.
-            Deltas apply at the beginning of each round, before the
-            balancing step, exactly as in the looped engine.
-        faults: optional network-fault schedule.  A
-            :class:`~repro.faults.spec.FaultSpec` builds one fresh
-            schedule per replica (seeded specs offset ``seed + r``, so
-            replica ``r``'s fault history is independent of the batch
-            size); alternatively a sequence of ``replicas`` ready
-            :class:`~repro.faults.schedules.FaultSchedule` instances.
-            Each round opens with crash/recover epochs (before
-            injection); the balancing step is then corrected for dead
-            links (bounce-back) and dropped sends (tracked loss),
-            exactly as in the looped engine.
-        topology: optional dynamic-topology schedule.  A
-            :class:`~repro.topology.spec.TopologySpec` builds one
-            fresh schedule per replica (seeded specs offset
-            ``seed + r``); alternatively a sequence of ``replicas``
-            ready :class:`~repro.topology.schedules.TopologySchedule`
-            instances.  Each replica gets its own private
+        probes: one collection of probe specs, factories or instances
+            per replica.  A multi-replica stack carries loads-only
+            probes; a single replica also feeds sends consumers.
+        dynamics: optional dynamic workload: a
+            :class:`~repro.dynamics.spec.DynamicsSpec` or injectors
+            (see :class:`RoundPhase`).
+        faults: optional fault schedule, given the same way
+            (:class:`~repro.faults.spec.FaultSpec`).
+        topology: optional dynamic-topology schedule, given the same
+            way (:class:`~repro.topology.spec.TopologySpec`).  Each
+            replica churns a private
             :class:`~repro.graphs.mutable.MutableBalancingGraph` copy
-            (graphs diverge under churn) and its own balancer — the
-            shared-balancer shortcut is incompatible with topology
-            churn.  Events apply at the top of each round, before
-            injection, exactly as in the looped engine.  Mutually
-            exclusive with ``faults``.
+            with its own balancer.  Mutually exclusive with ``faults``.
         record_history: keep per-replica discrepancy trajectories.
-        validate_every_round: structural validation of each batch of
-            sends matrices or compact rounds (vectorized; cheap).
-        engine: any name registered in :data:`repro.engines.ENGINES`
-            (``"dense"``, ``"structured"``, ``"spmm"``,
-            ``"compiled"``, ...) or ``"auto"`` (default) — auto picks
-            ``structured`` when every balancer supports it.
+        validate_every_round: structural validation of every sends
+            matrix or compact round (vectorized; cheap).
+        engine: any name registered in :data:`repro.engines.ENGINES`,
+            or ``"auto"`` (default): ``structured`` when every balancer
+            supports it and no probe demands dense sends matrices,
+            ``dense`` otherwise.
     """
 
     def __init__(
@@ -179,18 +283,17 @@ class BatchRunner:
         engine: str = "auto",
     ) -> None:
         initial_loads = validate_load_matrix(initial_loads)
-        if initial_loads.shape[1] != graph.num_nodes:
+        replicas, n = initial_loads.shape
+        if n != graph.num_nodes:
             raise InvalidSendMatrix(
-                f"load rows have {initial_loads.shape[1]} entries for a "
-                f"graph with {graph.num_nodes} nodes"
+                f"load rows have {n} entries for a graph with "
+                f"{graph.num_nodes} nodes"
             )
-        replicas = initial_loads.shape[0]
         if isinstance(balancers, Balancer):
             balancers = [balancers]
-        self._topology_schedules = self._build_topology_schedules(
-            topology, replicas
-        )
-        if self._topology_schedules is not None:
+        self.graph = graph
+        self._graphs: list | None = None
+        if topology is not None:
             if faults is not None:
                 raise ValueError(
                     "faults and topology cannot be combined: fault "
@@ -206,687 +309,291 @@ class BatchRunner:
                 )
             from repro.graphs.mutable import MutableBalancingGraph
 
-            # Each replica churns its own private copy; the caller's
-            # (possibly shared/prebuilt) graph is never mutated.
-            self._graphs: list | None = [
+            # The caller's (possibly shared) graph is never mutated.
+            self._graphs = [
                 MutableBalancingGraph.from_graph(graph)
                 for _ in range(replicas)
             ]
-            balancers = [
-                b.bind(g) for b, g in zip(balancers, self._graphs)
-            ]
-        else:
-            self._graphs = None
-            balancers = [b.bind(graph) for b in balancers]
-        if len(balancers) == 1 and replicas > 1:
-            shared = balancers[0]
-            if not (
-                shared.supports_batched_sends
-                and shared.properties.stateless
-            ):
+        self._phases = [
+            phase_type(value, replicas)
+            for phase_type, value in (
+                (TopologyPhase, topology),
+                (FaultPhase, faults),
+                (InjectionPhase, dynamics),
+            )
+            if value is not None
+        ]
+        self._settling = [
+            phase
+            for phase in self._phases
+            if type(phase).settle is not RoundPhase.settle
+        ]
+        self.balancers = [
+            balancer.bind(self._graph_for(index))
+            for index, balancer in enumerate(balancers)
+        ]
+        self._shared = len(self.balancers) == 1 and replicas > 1
+        if self._shared:
+            shared = self.balancers[0]
+            batched = shared.supports_batched_sends
+            if not (batched and shared.properties.stateless):
                 raise ValueError(
                     f"balancer {shared.name!r} cannot be shared across "
                     "replicas (needs sends_batch and statelessness); "
                     "pass one instance per replica instead"
                 )
-        elif len(balancers) != replicas:
+        if not self._shared and len(self.balancers) != replicas:
             raise ValueError(
-                f"got {len(balancers)} balancers for {replicas} replicas"
+                f"got {len(self.balancers)} balancers for "
+                f"{replicas} replicas"
             )
-        self.graph = graph
-        self.balancers = balancers
-        self._vectorized = (
-            len(balancers) == 1
-            and balancers[0].supports_batched_sends
-            # Under churn every replica owns a divergent graph; the
-            # shared-stack shortcut would evaluate them all against
-            # the static base topology.
-            and self._topology_schedules is None
-        )
-        if engine != "auto" and split_engine_spec(engine)[0] not in ENGINES:
+        self.num_replicas = replicas
+        if probes is None:
+            probes = [()] * replicas
+        elif len(probes) != replicas:
             raise ValueError(
-                f"unknown engine {engine!r}; registered engines: "
-                f"{', '.join(engine_names())} (or 'auto')"
+                f"got {len(probes)} probe sets for {replicas} replicas"
             )
-        structured_ok = all(
-            b.supports_structured_sends for b in balancers
-        )
-        if engine == "auto":
-            engine = "structured" if structured_ok else "dense"
-        self._backend = create_engine(engine)
-        if self._backend.protocol == STRUCTURED and not structured_ok:
-            missing = next(
-                b.name
-                for b in balancers
-                if not b.supports_structured_sends
-            )
+        self.probe_sets = [build_probes(spec) for spec in probes]
+        # A stack carries loads-only probes.
+        bad = [p for s in self.probe_sets for p in s if p.needs != LOADS]
+        if replicas > 1 and bad:
             raise ValueError(
-                f"balancer {missing!r} does not implement structured "
-                "sends; use the dense engine"
+                f"probe {type(bad[0]).__name__} consumes sends matrices; "
+                "the vectorized batch runner only carries loads-only "
+                "probes — use the looped Simulator for sends-consuming "
+                "probes"
             )
-        self.engine = engine
-        self.initial_loads = initial_loads.copy()
-        self._loads = initial_loads.copy()
+        self._has_probes = any(self.probe_sets)
+        self._requested_engine = engine
+        self._select_engine(engine)
         self.record_history = record_history
         self.validate_every_round = validate_every_round
-        self.num_replicas = replicas
-        self.totals = initial_loads.sum(axis=1)
+        self.initial_loads = initial_loads
+        self._loads = initial_loads.copy()
+        self.totals = initial_loads.sum(axis=1).tolist()
         self.round = 1  # paper convention: x_1 is the initial vector
-        self._active = np.ones(replicas, dtype=bool)
-        self._rounds_executed = np.zeros(replicas, dtype=np.int64)
+        self._active = list(range(replicas))
+        # rounds_executed = steps taken - steps a frozen replica sat out
+        self._steps = 0
+        self._missed = np.zeros(replicas, dtype=np.int64)
         self._stopped_early = np.zeros(replicas, dtype=bool)
-        self._injectors = self._build_injectors(dynamics, replicas)
-        self._tokens_injected = np.zeros(replicas, dtype=np.int64)
-        self._fault_schedules = self._build_fault_schedules(
-            faults, replicas
-        )
-        self._round_faults: list = [None] * replicas
-        self._tokens_dropped = np.zeros(replicas, dtype=np.int64)
-        self._topology_rounds = np.zeros(replicas, dtype=np.int64)
-        if self._topology_schedules is not None:
-            for replica, schedule in enumerate(
-                self._topology_schedules
-            ):
-                schedule.start(
-                    self._graphs[replica], self.initial_loads[replica]
+        # Per round: every replica's discrepancy, and which replicas ran.
+        self._history: list[np.ndarray] = []
+        self._ran: list[np.ndarray] = []
+        self._everyone = np.ones(replicas, dtype=bool)
+        for phase in self._phases:
+            for replica in range(replicas):
+                phase.start(
+                    replica, self._graph_for(replica), self._loads[replica]
                 )
-        if self._fault_schedules is not None:
-            for replica, schedule in enumerate(self._fault_schedules):
-                schedule.start(graph, self.initial_loads[replica])
-        if self._injectors is not None:
-            for replica, injector in enumerate(self._injectors):
-                injector.start(graph, self.initial_loads[replica])
-        self.histories: list[list[int]] = (
-            [
-                [int(row.max() - row.min())]
-                for row in initial_loads
-            ]
-            if record_history
-            else []
-        )
-        if probes is None:
-            self.probe_sets: list[tuple[Probe, ...]] = []
-        else:
-            if len(probes) != replicas:
-                raise ValueError(
-                    f"got {len(probes)} probe sets for "
-                    f"{replicas} replicas"
-                )
-            self.probe_sets = [build_probes(spec) for spec in probes]
-            for replica, probe_set in enumerate(self.probe_sets):
-                if not loads_only(probe_set):
-                    bad = next(
-                        p for p in probe_set if p.needs != "loads"
-                    )
-                    raise ValueError(
-                        f"probe {type(bad).__name__} consumes sends "
-                        "matrices; the vectorized batch runner only "
-                        "carries loads-only probes — use the looped "
-                        "Simulator for sends-consuming probes"
-                    )
-                for probe in probe_set:
-                    probe.start(
-                        graph,
-                        self._balancer_for(replica),
-                        self.initial_loads[replica],
-                    )
-        self._has_probes = any(self.probe_sets)
-
-    # ------------------------------------------------------------------
+        for replica, probe_set in enumerate(self.probe_sets):
+            for probe in probe_set:
+                self._start_probe(probe, replica)
 
     @property
     def loads(self) -> np.ndarray:
         """Current ``(replicas, n)`` load stack (owned; copy to mutate)."""
         return self._loads
 
-    def _balancer_for(self, replica: int) -> Balancer:
-        return self.balancers[0 if len(self.balancers) == 1 else replica]
-
     def _graph_for(self, replica: int):
-        """Replica ``replica``'s graph (private copy under churn)."""
-        if self._graphs is not None:
-            return self._graphs[replica]
-        return self.graph
+        """Replica ``replica``'s graph (its private copy under churn)."""
+        return self.graph if self._graphs is None else self._graphs[replica]
 
-    @staticmethod
-    def _build_injectors(dynamics, replicas: int):
-        """One fresh injector per replica (or None for static runs)."""
-        if dynamics is None:
-            return None
-        from repro.dynamics.injectors import Injector
-        from repro.dynamics.spec import DynamicsSpec
+    def _start_probe(self, probe: Probe, replica: int) -> None:
+        balancer = self.balancers[0 if self._shared else replica]
+        probe.start(self._graph_for(replica), balancer, self._loads[replica])
 
-        if isinstance(dynamics, DynamicsSpec):
-            return [dynamics.build(replica) for replica in range(replicas)]
-        if isinstance(dynamics, Injector):
-            if replicas != 1:
-                raise ValueError(
-                    "a single Injector instance cannot be shared across "
-                    f"{replicas} replicas (its state would be corrupted); "
-                    "pass a DynamicsSpec or one instance per replica"
-                )
-            return [dynamics]
-        injectors = list(dynamics)
-        if len(injectors) != replicas:
+    def _select_engine(self, engine: str) -> None:
+        """Resolve ``engine`` and check its protocol against the run."""
+        if engine != "auto" and split_engine_spec(engine)[0] not in ENGINES:
             raise ValueError(
-                f"got {len(injectors)} injectors for {replicas} replicas"
+                f"unknown engine {engine!r}; registered engines: "
+                f"{', '.join(engine_names())} (or 'auto')"
             )
-        return injectors
-
-    @staticmethod
-    def _build_fault_schedules(faults, replicas: int):
-        """One fresh fault schedule per replica (or None when fault-free)."""
-        if faults is None:
-            return None
-        from repro.faults.schedules import FaultSchedule
-        from repro.faults.spec import FaultSpec
-
-        if isinstance(faults, FaultSpec):
-            return [faults.build(replica) for replica in range(replicas)]
-        if isinstance(faults, FaultSchedule):
-            if replicas != 1:
+        probes = [probe for probes in self.probe_sets for probe in probes]
+        missing = [
+            b.name for b in self.balancers if not b.supports_structured_sends
+        ]
+        if engine == "auto":
+            structured = not missing and not dense_required(probes)
+            engine = "structured" if structured else "dense"
+        backend = create_engine(engine)
+        if backend.protocol == STRUCTURED:
+            if missing:
                 raise ValueError(
-                    "a single FaultSchedule instance cannot be shared "
-                    f"across {replicas} replicas (its state would be "
-                    "corrupted); pass a FaultSpec or one instance per "
-                    "replica"
+                    f"balancer {missing[0]!r} does not implement "
+                    "structured sends; use the dense engine"
                 )
-            return [faults]
-        schedules = list(faults)
-        if len(schedules) != replicas:
-            raise ValueError(
-                f"got {len(schedules)} fault schedules for "
-                f"{replicas} replicas"
-            )
-        return schedules
-
-    @staticmethod
-    def _build_topology_schedules(topology, replicas: int):
-        """One fresh topology schedule per replica (or None if static)."""
-        if topology is None:
-            return None
-        from repro.topology.schedules import TopologySchedule
-        from repro.topology.spec import TopologySpec
-
-        if isinstance(topology, TopologySpec):
-            return [
-                topology.build(replica) for replica in range(replicas)
-            ]
-        if isinstance(topology, TopologySchedule):
-            if replicas != 1:
+            if dense_required(probes):
+                bad = next(p for p in probes if dense_required((p,)))
                 raise ValueError(
-                    "a single TopologySchedule instance cannot be "
-                    f"shared across {replicas} replicas (its state "
-                    "would be corrupted); pass a TopologySpec or one "
-                    "instance per replica"
+                    f"probe {type(bad).__name__} requires dense sends "
+                    "matrices; use the dense engine"
                 )
-            return [topology]
-        schedules = list(topology)
-        if len(schedules) != replicas:
+        self.engine = engine
+        self._backend = backend
+        self._structured = backend.protocol == STRUCTURED
+
+    def attach(self, probe) -> Probe:
+        """Attach an observer mid-run to a single-replica runner.
+
+        The probe is started with the *current* loads, so it observes
+        from this round on.  A probe demanding dense sends switches an
+        auto-selected structured run to dense (bit-identical
+        trajectories); an explicitly requested engine raises instead.
+        A stack takes its probes at construction only.
+        """
+        if self.num_replicas != 1:
             raise ValueError(
-                f"got {len(schedules)} topology schedules for "
-                f"{replicas} replicas"
+                "attach needs a single-replica runner; a stack takes probes="
             )
-        return schedules
-
-    def _apply_topology_events(self) -> None:
-        """Open the round with each replica's topology churn events.
-
-        Mirrors the looped engine exactly: each replica's schedule
-        mutates that replica's private graph copy in place (frozen
-        ``run_until`` replicas stop churning, just as a stopped
-        Simulator stops stepping) and its balancer repairs its
-        graph-derived structures from the dirty node set only.
-        """
-        for replica in np.flatnonzero(self._active).tolist():
-            schedule = self._topology_schedules[replica]
-            graph = self._graphs[replica]
-            row = self._loads[replica]
-            events = schedule.round_events(self.round, row)
-            if events is None or events.is_empty():
-                continue
-            if self.validate_every_round and not events.trusted:
-                validate_topology_events(events, graph)
-            apply_topology_events(graph, events, row)
-            dirty = graph.consume_dirty()
-            self._balancer_for(replica).refresh_topology(graph, dirty)
-            self._backend.refresh_topology(graph, dirty)
-            self._topology_rounds[replica] += 1
-
-    def _apply_fault_events(self) -> None:
-        """Open the round with each replica's fault-schedule epochs.
-
-        Mirrors the looped engine exactly: crash/recover load movement
-        lands before injection (frozen ``run_until`` replicas stop
-        seeing fault events, just as a stopped Simulator stops
-        stepping), and the round's dead/dropped port sets are stashed
-        for the balancing step to correct against.
-        """
-        for replica in np.flatnonzero(self._active).tolist():
-            schedule = self._fault_schedules[replica]
-            row = self._loads[replica]
-            faults = schedule.round_state(self.round, row)
-            if faults is not None:
-                if self.validate_every_round and not faults.trusted:
-                    validate_round_faults(faults, self.graph)
-                if faults.load_delta is not None:
-                    delta = validate_delta(
-                        faults.load_delta, row, schedule.name, self.round
-                    )
-                    row += delta
-                    self.totals[replica] += int(delta.sum())
-            self._round_faults[replica] = faults
-
-    def _apply_injection(self) -> None:
-        """Apply this round's load events to every active replica.
-
-        Mirrors the looped engine exactly: each replica's own injector
-        sees its own row (frozen ``run_until`` replicas stop receiving
-        events, just as a stopped Simulator stops stepping), and the
-        per-replica token total shifts by the delta sum.
-        """
-        for replica in np.flatnonzero(self._active).tolist():
-            injector = self._injectors[replica]
-            row = self._loads[replica]
-            delta = validate_delta(
-                injector.delta(self.round, row),
-                row,
-                injector.name,
-                self.round,
-            )
-            row += delta  # in place: the runner owns the load stack
-            moved = int(delta.sum())
-            self.totals[replica] += moved
-            self._tokens_injected[replica] += moved
+        (probe,) = build_probes((probe,))
+        if self._structured and dense_required((probe,)):
+            if self._requested_engine != "auto":
+                raise ValueError(
+                    f"probe {type(probe).__name__} requires dense sends "
+                    f"matrices but the {self.engine} engine was "
+                    "explicitly requested"
+                )
+            self._select_engine("dense")
+        self._start_probe(probe, 0)
+        self.probe_sets[0] += (probe,)
+        self._has_probes = True
+        return probe
 
     def step(self) -> np.ndarray:
         """Execute one synchronous round for every active replica."""
-        if self._topology_schedules is not None:
-            self._apply_topology_events()
-        if self._fault_schedules is not None:
-            self._apply_fault_events()
-        if self._injectors is not None:
-            self._apply_injection()
-        all_active = bool(self._active.all())
-        if all_active:
-            # Fast path: no index gathers/scatters on the load stack.
-            active = np.arange(self.num_replicas)
-            loads = self._loads
-        else:
-            active = np.flatnonzero(self._active)
-            if active.size == 0:
-                return self._loads
-            loads = self._loads[active]
-        if self._backend.protocol == STRUCTURED:
-            new_loads = self._round_structured(loads, active)
-        else:
-            new_loads = self._round_dense(loads, active)
-        new_totals = new_loads.sum(axis=1)
-        totals = self.totals if all_active else self.totals[active]
-        if np.any(new_totals != totals):
-            bad = int(active[np.flatnonzero(new_totals != totals)[0]])
-            raise ConservationError(
-                f"round {self.round}: replica {bad} token count changed "
-                f"from {int(self.totals[bad])}"
+        active = self._active
+        if not active:
+            return self._loads
+        before = self._loads
+        totals = self.totals
+        for phase in self._phases:
+            for replica in active:
+                totals[replica] += phase.open_round(
+                    self, replica, before[replica]
+                )
+        everyone = len(active) == self.num_replicas
+        if self._shared:
+            stack = before if everyone else before[active]
+            new, sends = self._advance(
+                self.balancers[0], self.graph, stack, active
             )
-        if all_active:
-            self._loads = new_loads
-            self._rounds_executed += 1
         else:
-            self._loads[active] = new_loads
-            self._rounds_executed[active] += 1
+            rounds = [
+                self._advance(
+                    self.balancers[replica],
+                    self._graph_for(replica),
+                    before[replica],
+                    (replica,),
+                )
+                for replica in active
+            ]
+            rows = [row for row, _ in rounds]
+            new = rows[0][None] if len(rows) == 1 else np.stack(rows)
+            # Sends consumers only ride single-replica runners.
+            sends = rounds[0][1]
+        sums = new.sum(axis=1).tolist()
+        expected = totals if everyone else [totals[r] for r in active]
+        if sums != expected:
+            bad = int(np.flatnonzero(np.subtract(sums, expected))[0])
+            raise ConservationError(
+                f"round {self.round}: replica {active[bad]} token count "
+                f"changed from {expected[bad]} to {sums[bad]}"
+            )
+        self._steps += 1
+        if everyone:
+            self._loads = new
+        else:
+            self._loads[active] = new
+            self._missed += 1
+            self._missed[active] -= 1
         if self.record_history:
-            discrepancies = (
-                new_loads.max(axis=1) - new_loads.min(axis=1)
-            ).tolist()
-            for replica, value in zip(active.tolist(), discrepancies):
-                self.histories[replica].append(value)
+            loads = self._loads
+            self._history.append(loads.max(axis=1) - loads.min(axis=1))
+            ran = self._everyone
+            if not everyone:
+                ran = np.zeros(self.num_replicas, dtype=bool)
+                ran[active] = True
+            self._ran.append(ran)
         if self._has_probes:
-            for replica in active.tolist():
-                row = self._loads[replica]
+            t = self.round
+            for index, replica in enumerate(active):
+                after = new[index]
                 for probe in self.probe_sets[replica]:
-                    probe.observe_loads(self.round, row)
+                    if probe.needs == LOADS:
+                        probe.observe_loads(t, after)
+                    elif self._structured:
+                        probe.observe_structured(
+                            t, before[replica], sends, after
+                        )
+                    else:
+                        probe.observe(t, before[replica], sends, after)
         self.round += 1
         return self._loads
 
-    def _round_dense(
-        self, loads: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """One round's new loads from full ``(batch, n, d+)`` sends."""
-        if self._graphs is not None:
-            return self._round_dense_churned(loads, active)
-        graph = self.graph
-        if self._vectorized:
-            sends = self.balancers[0].sends_batch(loads, self.round)
+    def _advance(self, balancer, graph, loads, replicas):
+        """Send rule → validation → overdraw → backend → settlement on
+        one replica's row, or on the active stack of a shared balancer.
+        Returns the new loads and the sends (matrix or compact round)."""
+        t = self.round
+        stacked = loads.ndim == 2
+        if self._structured:
+            sends = balancer.sends_structured(loads, t)
+            if self.validate_every_round:
+                sends.validate(graph, loads)
+            if not balancer.allows_negative:
+                remainder = sends.remainder(graph, loads)
+                self._check_overdraw(balancer, loads, remainder, replicas)
+            new = self._backend.apply(graph, sends, loads)
         else:
-            sends = np.stack(
-                [
-                    self._balancer_for(int(r)).sends(
-                        self._loads[int(r)], self.round
-                    )
-                    for r in active
-                ]
-            )
-        if self.validate_every_round:
-            self._validate_sends(sends, active.size)
-        degree = graph.degree
-        edge_out = sends[:, :, :degree].sum(axis=2)
-        kept = sends[:, :, degree:].sum(axis=2)
-        # remainder = loads - (edge_out + kept); new = remainder + in + kept
-        # which telescopes to loads - edge_out + incoming.
-        self._check_overdraw(loads - edge_out - kept, active)
-        incoming = self._backend.incoming(graph, sends)
-        new_loads = loads - edge_out
-        new_loads += incoming
-        if self._fault_schedules is not None:
-            for row, replica in enumerate(active.tolist()):
-                faults = self._round_faults[replica]
-                if faults is None:
-                    continue
-                self._settle_faults(
-                    new_loads[row],
-                    replica,
-                    faults,
-                    lambda pairs, s=sends[row]: dense_port_values(
-                        s, pairs
-                    ),
-                )
-        return new_loads
-
-    def _round_dense_churned(
-        self, loads: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """Dense rounds under churn: one gather per replica's graph.
-
-        The stacked flat-gather shortcut assumes one shared reverse-
-        port map; under topology churn each replica's map differs, so
-        the round mirrors the looped engine replica by replica.
-        """
-        new_loads = np.empty_like(loads)
-        for row, replica in enumerate(active.tolist()):
-            graph = self._graphs[replica]
-            replica_loads = self._loads[replica]
-            sends = self._balancer_for(replica).sends(
-                replica_loads, self.round
-            )
+            rule = balancer.sends_batch if stacked else balancer.sends
+            sends = rule(loads, t)
             if self.validate_every_round:
-                self._validate_sends(sends[None], 1)
+                self._validate_sends(sends, loads, graph)
             degree = graph.degree
-            edge_out = sends[:, :degree].sum(axis=1)
-            kept = sends[:, degree:].sum(axis=1)
-            self._check_overdraw(
-                (replica_loads - edge_out - kept)[None, :],
-                np.asarray([replica]),
-            )
-            incoming = self._backend.incoming(graph, sends)
-            new_loads[row] = replica_loads - edge_out
-            new_loads[row] += incoming
-        return new_loads
-
-    def _settle_faults(
-        self, new_row: np.ndarray, replica: int, faults, port_values
-    ) -> None:
-        """Apply one replica's round corrections and track the loss."""
-        dropped = apply_round_faults(
-            new_row, self.graph, faults, port_values
-        )
-        self.totals[replica] -= dropped
-        self._tokens_dropped[replica] += dropped
-
-    def _round_structured(
-        self, loads: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """One round's new loads executed matrix-free.
-
-        The shared stateless balancer evaluates the whole stack in one
-        compact description; per-replica balancers (e.g. stateful
-        rotors) produce one compact round each — still O(n·d) per
-        replica instead of a dense matrix.
-        """
-        graph = self.graph
-        if self._vectorized:
-            balancer = self.balancers[0]
-            compact = balancer.sends_structured(loads, self.round)
-            if self.validate_every_round:
-                compact.validate(graph, loads)
+            new = loads - sends[..., :degree].sum(axis=-1)
             if not balancer.allows_negative:
-                remainder = compact.remainder(graph, loads)
-                if remainder.min() < 0:
-                    self._raise_structured_overdraw(
-                        remainder, active, balancer
+                remainder = new - sends[..., degree:].sum(axis=-1)
+                self._check_overdraw(balancer, loads, remainder, replicas)
+            new += self._backend.incoming(graph, sends)
+        if self._settling:
+            rows = new if stacked else new[None]
+            for index, replica in enumerate(replicas):
+                if self._structured:
+                    values = partial(
+                        structured_port_values, sends, graph, replica=index
                     )
-            new_loads = self._backend.apply(graph, compact, loads)
-            if self._fault_schedules is not None:
-                for row, replica in enumerate(active.tolist()):
-                    faults = self._round_faults[replica]
-                    if faults is None:
-                        continue
-                    self._settle_faults(
-                        new_loads[row],
-                        replica,
-                        faults,
-                        lambda pairs, r=row: structured_port_values(
-                            compact, graph, pairs, replica=r
-                        ),
+                else:
+                    matrix = sends[index] if stacked else sends
+                    values = partial(dense_port_values, matrix)
+                for phase in self._settling:
+                    self.totals[replica] += phase.settle(
+                        self, replica, rows[index], values
                     )
-            return new_loads
-        new_loads = np.empty_like(loads)
-        for row, replica in enumerate(active):
-            balancer = self._balancer_for(int(replica))
-            graph = self._graph_for(int(replica))
-            replica_loads = self._loads[int(replica)]
-            compact = balancer.sends_structured(replica_loads, self.round)
-            if self.validate_every_round:
-                compact.validate(graph, replica_loads)
-            if not balancer.allows_negative:
-                remainder = compact.remainder(graph, replica_loads)
-                if remainder.min() < 0:
-                    self._raise_structured_overdraw(
-                        remainder[None, :], active[row:], balancer
-                    )
-            new_loads[row] = self._backend.apply(
-                graph, compact, replica_loads
-            )
-            if self._fault_schedules is not None:
-                faults = self._round_faults[int(replica)]
-                if faults is not None:
-                    self._settle_faults(
-                        new_loads[row],
-                        int(replica),
-                        faults,
-                        lambda pairs, c=compact: structured_port_values(
-                            c, graph, pairs
-                        ),
-                    )
-        return new_loads
+        return new, sends
 
-    def _raise_structured_overdraw(
-        self,
-        remainder: np.ndarray,
-        active: np.ndarray,
-        balancer: Balancer,
-    ) -> None:
-        row, node = np.unravel_index(
-            int(np.argmin(remainder)), remainder.shape
-        )
+    def _check_overdraw(self, balancer, loads, remainder, replicas) -> None:
+        """Raise if a node sent more than it holds (the NL column)."""
+        if remainder.min() >= 0:
+            return
+        flat = int(np.argmin(remainder))
+        row, node = divmod(flat, loads.shape[-1])
+        held = int(loads.reshape(-1)[flat])
+        sent = held - int(remainder.reshape(-1)[flat])
         raise NegativeLoadError(
-            f"round {self.round}: replica {int(active[row])} node "
-            f"{int(node)} overdrew its load (balancer "
+            f"round {self.round}: replica {replicas[row]} node {node} "
+            f"sent {sent} tokens but holds {held} (balancer "
             f"{balancer.name!r} does not allow negative load)"
         )
 
-    def run(self, rounds: int) -> BatchResult:
-        """Execute ``rounds`` rounds for every replica.
-
-        Fault schedules take the per-step path: their corrections are
-        per-replica scatter updates, which is exactly the bookkeeping
-        the tight vectorized loop exists to avoid.
-        """
-        if (
-            self._vectorized
-            and self._active.all()
-            and self._fault_schedules is None
-            and self._topology_schedules is None
-        ):
-            self._run_vectorized(rounds)
-        else:
-            for _ in range(rounds):
-                self.step()
-        return self._result()
-
-    def _run_vectorized(self, rounds: int) -> None:
-        """Tight fixed-round loop for the shared-balancer batch path.
-
-        Semantically identical to ``rounds`` calls of :meth:`step` with
-        every replica active; exists because per-step bookkeeping
-        (masking, per-replica history appends) would otherwise eat the
-        vectorization win at small ``n``.
-        """
-        graph = self.graph
-        balancer = self.balancers[0]
-        backend = self._backend
-        structured = backend.protocol == STRUCTURED
-        degree = graph.degree
-        replicas = self.num_replicas
-        validate = self.validate_every_round
-        check_overdraw = not balancer.allows_negative
-        record = self.record_history
-        discrepancy_rows: list[np.ndarray] = []
-        loads = self._loads
-        for _ in range(rounds):
-            if self._injectors is not None:
-                loads = self._inject_stack(loads)
-            if structured:
-                compact = balancer.sends_structured(loads, self.round)
-                if validate:
-                    compact.validate(graph, loads)
-                if check_overdraw:
-                    remainder = compact.remainder(graph, loads)
-                    if remainder.min() < 0:
-                        self._raise_structured_overdraw(
-                            remainder, np.arange(replicas), balancer
-                        )
-                new_loads = backend.apply(graph, compact, loads)
-            else:
-                sends = balancer.sends_batch(loads, self.round)
-                if validate:
-                    self._validate_sends(sends, replicas)
-                edge_out = sends[:, :, :degree].sum(axis=2)
-                if check_overdraw:
-                    remainder = loads - edge_out
-                    remainder -= sends[:, :, degree:].sum(axis=2)
-                    if remainder.min() < 0:
-                        self._check_overdraw(
-                            remainder, np.arange(replicas)
-                        )
-                incoming = backend.incoming(graph, sends)
-                new_loads = loads - edge_out
-                new_loads += incoming
-            new_totals = new_loads.sum(axis=1)
-            if not np.array_equal(new_totals, self.totals):
-                bad = int(np.flatnonzero(new_totals != self.totals)[0])
-                raise ConservationError(
-                    f"round {self.round}: replica {bad} token count "
-                    f"changed from {int(self.totals[bad])}"
-                )
-            loads = new_loads
-            if record:
-                discrepancy_rows.append(
-                    loads.max(axis=1) - loads.min(axis=1)
-                )
-            if self._has_probes:
-                for replica in range(replicas):
-                    row = loads[replica]
-                    for probe in self.probe_sets[replica]:
-                        probe.observe_loads(self.round, row)
-            self.round += 1
-        self._loads = loads
-        self._rounds_executed += rounds
-        if record and discrepancy_rows:
-            tails = np.stack(discrepancy_rows, axis=1).tolist()
-            for history, tail in zip(self.histories, tails):
-                history.extend(tail)
-
-    def _inject_stack(self, loads: np.ndarray) -> np.ndarray:
-        """Injection for the tight fixed-round loop (all replicas active).
-
-        In place, row by row: each replica's injector sees exactly its
-        own row, and no per-round ``(replicas, n)`` scratch array is
-        allocated (allocator churn would dominate the vector add).
-        """
-        for replica in range(self.num_replicas):
-            injector = self._injectors[replica]
-            row = loads[replica]
-            delta = validate_delta(
-                injector.delta(self.round, row),
-                row,
-                injector.name,
-                self.round,
-            )
-            row += delta
-            moved = int(delta.sum())
-            self.totals[replica] += moved
-            self._tokens_injected[replica] += moved
-        return loads
-
-    def run_until(
-        self,
-        predicates: Sequence[Callable[[np.ndarray], bool]],
-        max_rounds: int,
-        check_every: int = 1,
-    ) -> BatchResult:
-        """Run until each replica's predicate holds (or budget runs out).
-
-        Mirrors :meth:`Simulator.run_until` replica-for-replica: each
-        predicate is evaluated on its replica's load vector before the
-        first round and then every ``check_every`` rounds; a satisfied
-        replica is frozen (no further rounds) while the rest continue.
-        """
-        if len(predicates) != self.num_replicas:
-            raise ValueError(
-                f"got {len(predicates)} predicates for "
-                f"{self.num_replicas} replicas"
-            )
-        for replica in np.flatnonzero(self._active):
-            if predicates[replica](self._loads[replica]):
-                self._active[replica] = False
-                self._stopped_early[replica] = True
-        executed = 0
-        while executed < max_rounds and self._active.any():
-            self.step()
-            executed += 1
-            if executed % check_every == 0:
-                for replica in np.flatnonzero(self._active):
-                    if predicates[replica](self._loads[replica]):
-                        self._active[replica] = False
-                        self._stopped_early[replica] = True
-        return self._result()
-
-    # ------------------------------------------------------------------
-
-    def _check_overdraw(
-        self, remainder: np.ndarray, active: np.ndarray
-    ) -> None:
-        if remainder.min() >= 0:
-            return
-        for row, replica in enumerate(active):
-            balancer = self._balancer_for(int(replica))
-            if balancer.allows_negative:
-                continue
-            if remainder[row].min() < 0:
-                node = int(np.argmin(remainder[row]))
-                raise NegativeLoadError(
-                    f"round {self.round}: replica {int(replica)} node "
-                    f"{node} overdrew its load (balancer "
-                    f"{balancer.name!r} does not allow negative load)"
-                )
-
-    def _validate_sends(self, sends: np.ndarray, batch: int) -> None:
-        expected = (batch, self.graph.num_nodes, self.graph.total_degree)
+    @staticmethod
+    def _validate_sends(sends: np.ndarray, loads, graph) -> None:
+        expected = loads.shape + (graph.total_degree,)
         if sends.shape != expected:
             raise InvalidSendMatrix(
-                f"batched sends have shape {sends.shape}, "
-                f"expected {expected}"
+                f"sends have shape {sends.shape}, expected {expected}"
             )
         if not np.issubdtype(sends.dtype, np.integer):
             raise InvalidSendMatrix(
@@ -898,59 +605,97 @@ class BatchRunner:
                 "forward along edges"
             )
 
+    def run(self, rounds: int) -> BatchResult:
+        """Execute ``rounds`` rounds for every active replica."""
+        for _ in range(rounds):
+            self.step()
+        return self._result()
+
+    def run_until(
+        self,
+        predicates: Sequence[Callable[[np.ndarray], bool]],
+        max_rounds: int,
+        check_every: int = 1,
+    ) -> BatchResult:
+        """Run until each replica's predicate holds (or budget runs out).
+
+        Each predicate is evaluated on its replica's load vector before
+        the first round and then every ``check_every`` rounds; a
+        satisfied replica is frozen (no further rounds, phases or
+        probes) while the rest continue.  In a stack, freezing is for
+        good: the round index is shared, so a replica woken later would
+        see its time-dependent schedules skewed.  A lone replica (the
+        :class:`~repro.core.engine.Simulator` view) resumes on the next
+        call.
+        """
+        if len(predicates) != self.num_replicas:
+            raise ValueError(
+                f"got {len(predicates)} predicates for "
+                f"{self.num_replicas} replicas"
+            )
+        for executed in range(max_rounds + 1):
+            if executed % check_every == 0:
+                stopped = [
+                    replica
+                    for replica in self._active
+                    if predicates[replica](self._loads[replica])
+                ]
+                self._stopped_early[stopped] = True
+                self._active = [r for r in self._active if r not in stopped]
+            if executed == max_rounds or not self._active:
+                break
+            self.step()
+        result = self._result()
+        if self.num_replicas == 1:
+            self._active = [0]
+            self._stopped_early[:] = False
+        return result
+
+    def _histories(self) -> list[list[int]]:
+        """Per-replica discrepancy trajectories as lists."""
+        if not self.record_history:
+            return []
+        initial = self.initial_loads
+        values = np.column_stack(
+            [initial.max(axis=1) - initial.min(axis=1), *self._history]
+        )
+        ran = np.column_stack([self._everyone, *self._ran])
+        return [row[mask].tolist() for row, mask in zip(values, ran)]
+
     def _engine_summary(self, replica: int) -> dict:
+        initial = self.initial_loads[replica]
+        final = self._loads[replica]
         summary = {
-            "initial_discrepancy": int(
-                self.initial_loads[replica].max()
-                - self.initial_loads[replica].min()
-            ),
-            "final_discrepancy": int(
-                self._loads[replica].max()
-                - self._loads[replica].min()
-            ),
+            "initial_discrepancy": int(initial.max() - initial.min()),
+            "final_discrepancy": int(final.max() - final.min()),
         }
-        if self._injectors is not None:
-            summary["tokens_injected"] = int(
-                self._tokens_injected[replica]
-            )
-            summary.update(self._injectors[replica].summary())
-        if self._fault_schedules is not None:
-            schedule = self._fault_schedules[replica]
-            summary["fault_schedule"] = schedule.name
-            summary["tokens_dropped"] = int(
-                self._tokens_dropped[replica]
-            )
-            summary.update(schedule.summary())
-        if self._topology_schedules is not None:
-            schedule = self._topology_schedules[replica]
-            summary["topology_schedule"] = schedule.name
-            summary["topology_rounds"] = int(
-                self._topology_rounds[replica]
-            )
-            summary.update(schedule.summary())
+        # Record key order is injection, faults, topology: the reverse
+        # of the order the phases open a round.
+        for phase in reversed(self._phases):
+            summary.update(phase.summary(replica))
         return summary
 
+    def _record(self, replica, histories, stopped_early) -> RunRecord:
+        return build_record(
+            replica=replica,
+            rounds_executed=self._steps - int(self._missed[replica]),
+            stopped_early=stopped_early,
+            engine_summary=self._engine_summary(replica),
+            discrepancy_history=histories[replica] if histories else None,
+            probes=self.probe_sets[replica],
+        )
+
     def _result(self) -> BatchResult:
-        records = [
-            build_record(
-                replica=replica,
-                rounds_executed=int(self._rounds_executed[replica]),
-                stopped_early=bool(self._stopped_early[replica]),
-                engine_summary=self._engine_summary(replica),
-                discrepancy_history=(
-                    self.histories[replica] if self.histories else None
-                ),
-                probes=(
-                    self.probe_sets[replica] if self.probe_sets else ()
-                ),
-            )
-            for replica in range(self.num_replicas)
-        ]
+        histories = self._histories()
+        stopped = self._stopped_early.tolist()
         return BatchResult(
             initial_loads=self.initial_loads,
             final_loads=self._loads.copy(),
-            rounds_executed=self._rounds_executed.copy(),
+            rounds_executed=self._steps - self._missed,
             stopped_early=self._stopped_early.copy(),
-            histories=[list(h) for h in self.histories],
-            records=records,
+            histories=histories,
+            records=[
+                self._record(replica, histories, stopped[replica])
+                for replica in range(self.num_replicas)
+            ],
         )

@@ -19,15 +19,15 @@ Example::
     )
     result = scenario.run()
 
-Execution is delegated either to the looped
-:class:`~repro.core.engine.Simulator` (one per replica; required by
-legacy monitors and sends-consuming probes) or to the vectorized
-:class:`~repro.scenarios.batch.BatchRunner`, which stacks all replicas
-into one ``(replicas, n)`` array.  Loads-only probes
-(:class:`~repro.core.probes.ProbeSpec` entries in :attr:`Scenario.\
-probes`) ride both executors — and the structured engine — without
-forcing the slow path.  Both executors produce identical trajectories
-replica-for-replica.
+Execution runs through the one round executor,
+:class:`~repro.scenarios.batch.BatchRunner`, in one of two layouts:
+``"loop"`` runs one :class:`~repro.core.engine.Simulator` (a 1-replica
+view of the executor) per replica, which sends-consuming probes
+require; ``"batch"`` stacks all replicas into one ``(replicas, n)``
+array.  Loads-only probes (:class:`~repro.core.probes.ProbeSpec`
+entries in :attr:`Scenario.probes`) ride both layouts — and the
+structured engine — without forcing the slow path.  Both layouts
+produce identical trajectories replica-for-replica.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.core.metrics import (
     final_plateau,
     time_to_discrepancy,
 )
-from repro.core.monitors import LoadBoundsMonitor, Monitor
+from repro.core.monitors import LoadBoundsMonitor
 from repro.core.probes import Probe, ProbeSpec, build_probes, loads_only
 from repro.core.trace import RunRecord
 from repro.dynamics.spec import DynamicsSpec, as_injector
@@ -290,7 +290,7 @@ class ScenarioResult:
     graph: BalancingGraph | None
     executor: str
     results: list[SimulationResult]
-    monitors: list[tuple]
+    probes: list[tuple]
 
     def _resolve_graph(self) -> BalancingGraph:
         if self.graph is None:
@@ -316,11 +316,11 @@ class ScenarioResult:
     def final_discrepancies(self) -> list[int]:
         return [result.final_discrepancy for result in self.results]
 
-    def monitor(self, monitor_type: type, replica: int = 0):
-        """The first attached monitor of ``monitor_type`` (or None)."""
-        for monitor in self.monitors[replica]:
-            if isinstance(monitor, monitor_type):
-                return monitor
+    def monitor(self, probe_type: type, replica: int = 0):
+        """The first attached probe of ``probe_type`` (or None)."""
+        for probe in self.probes[replica]:
+            if isinstance(probe, probe_type):
+                return probe
         return None
 
     def record(self, replica: int = 0) -> RunRecord | None:
@@ -335,7 +335,7 @@ class ScenarioResult:
         Engine facts come first; every probe's scalar summary is merged
         in (``min_load`` from the load-bounds probe, ``period`` from
         the period detector, ...), so drivers read one uniform dict
-        instead of fishing values out of monitor instances.
+        instead of fishing values out of probe instances.
         """
         result = self.results[replica]
         history = result.discrepancy_history
@@ -410,8 +410,7 @@ class Scenario:
             ready :class:`~repro.faults.schedules.FaultSchedule`.
             Fault corrections are sparse ``O(faults)`` fix-ups after
             the fault-free round, so faulty scenarios keep the
-            structured engine and the batch executor (only the
-            batch executor's fully-vectorized inner loop is bypassed).
+            structured engine and the batch executor.
         topology: optional dynamic-topology schedule — a
             :class:`~repro.topology.spec.TopologySpec` (serializes with
             the scenario; replica ``r`` gets a fresh schedule built
@@ -421,12 +420,9 @@ class Scenario:
             replica churns its own private mutable graph copy; the
             engines apply events incrementally, so churny scenarios
             keep the structured engine and the batch executor (graphs
-            diverge per replica, so the batch executor's
-            fully-vectorized inner loop is bypassed).  Mutually
+            diverge per replica, so each replica runs its own
+            balancer).  Mutually
             exclusive with ``faults``.
-        monitors: legacy per-replica monitor *factories*.  Monitors
-            force the looped executor and the dense engine and are not
-            serialized — prefer ``probes``.
         record_history: keep per-round discrepancy trajectories.
         validate_every_round: structural validation each round.
         name: optional label used in reports.
@@ -446,7 +442,6 @@ class Scenario:
     dynamics: DynamicsSpec | None = None
     faults: FaultSpec | None = None
     topology: TopologySpec | None = None
-    monitors: tuple[Callable[[], Monitor], ...] = ()
     record_history: bool = True
     validate_every_round: bool = True
     name: str = ""
@@ -501,7 +496,7 @@ class Scenario:
             )
         if self.replicas > 1:
             # Anything that is not a spec or a factory is a ready
-            # instance (Probe or duck-typed legacy observer) whose
+            # instance (Probe or duck-typed observer) whose
             # state would be shared — and corrupted — across replicas.
             shared = [
                 spec
@@ -556,11 +551,6 @@ class Scenario:
             raise ValueError(
                 "scenarios holding a prebuilt graph object cannot be "
                 "serialized; use a GraphSpec"
-            )
-        if self.monitors:
-            raise ValueError(
-                "monitor factories cannot be serialized; attach them "
-                "programmatically after from_dict (or use ProbeSpecs)"
             )
         not_specs = [
             spec
@@ -620,7 +610,7 @@ class Scenario:
     def canonical_json(self) -> str:
         """Canonical byte-stable JSON of this scenario (see
         :func:`canonical_json`).  Raises for scenarios that cannot be
-        serialized (prebuilt graphs, monitor factories, probe
+        serialized (prebuilt graphs, probe factories or
         instances) — exactly the scenarios that cannot be cached or
         shipped to worker processes."""
         return canonical_json(self.to_dict())
@@ -706,26 +696,16 @@ class Scenario:
         if executor == "auto":
             executor = (
                 "batch"
-                if self.replicas > 1
-                and not self.monitors
-                and loads_only(probe_preview)
+                if self.replicas > 1 and loads_only(probe_preview)
                 else "loop"
             )
-        if executor == "batch":
-            if self.monitors:
-                raise ValueError(
-                    "monitors require the looped executor "
-                    "(run(executor='loop'))"
-                )
-            if not loads_only(probe_preview):
-                bad = next(
-                    p for p in probe_preview if p.needs != "loads"
-                )
-                raise ValueError(
-                    f"probe {type(bad).__name__} consumes sends "
-                    "matrices and requires the looped executor "
-                    "(run(executor='loop'))"
-                )
+        if executor == "batch" and not loads_only(probe_preview):
+            bad = next(p for p in probe_preview if p.needs != "loads")
+            raise ValueError(
+                f"probe {type(bad).__name__} consumes sends "
+                "matrices and requires the looped executor "
+                "(run(executor='loop'))"
+            )
         graph = graph if graph is not None else self.build_graph()
         if executor == "loop":
             return self._run_looped(graph, replica_range)
@@ -735,16 +715,13 @@ class Scenario:
         self, graph: BalancingGraph, replica_range: range
     ) -> ScenarioResult:
         results: list[SimulationResult] = []
-        monitor_sets: list[tuple] = []
+        probe_sets: list[tuple] = []
         for replica in replica_range:
-            monitors = tuple(factory() for factory in self.monitors)
-            probe_set = self.build_probe_set()
             simulator = Simulator(
                 graph,
                 self.build_balancer(replica),
                 self.build_loads(graph, replica),
-                monitors=monitors,
-                probes=probe_set,
+                probes=self.build_probe_set(),
                 dynamics=as_injector(self.dynamics, replica),
                 faults=as_fault_schedule(self.faults, replica),
                 topology=as_topology_schedule(self.topology, replica),
@@ -764,13 +741,13 @@ class Scenario:
             if result.record is not None:
                 result.record.replica = replica
             results.append(result)
-            monitor_sets.append(tuple(simulator.monitors))
+            probe_sets.append(simulator.probes)
         return ScenarioResult(
             scenario=self,
             graph=graph,
             executor="loop",
             results=results,
-            monitors=monitor_sets,
+            probes=probe_sets,
         )
 
     def _run_batched(
@@ -852,7 +829,7 @@ class Scenario:
             graph=graph,
             executor="batch",
             results=results,
-            monitors=(
+            probes=(
                 probe_sets
                 if probe_sets is not None
                 else [() for _ in replica_range]
@@ -895,7 +872,6 @@ class ScenarioSuite:
         dynamics: DynamicsSpec | None = None,
         faults: FaultSpec | None = None,
         topology: TopologySpec | None = None,
-        monitors: tuple[Callable[[], Monitor], ...] = (),
         record_history: bool = True,
         validate_every_round: bool = True,
         name: str = "",
@@ -917,7 +893,6 @@ class ScenarioSuite:
                 dynamics=dynamics,
                 faults=faults,
                 topology=topology,
-                monitors=monitors,
                 record_history=record_history,
                 validate_every_round=validate_every_round,
                 engine=engine,

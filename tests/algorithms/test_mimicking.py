@@ -73,7 +73,7 @@ class TestDiscrepancy:
         loads[0] = 6
         monitor = LoadBoundsMonitor()
         simulator = Simulator(
-            graph, ContinuousMimicking(), loads, monitors=(monitor,)
+            graph, ContinuousMimicking(), loads, probes=(monitor,)
         )
         simulator.run(40)
         # Token count is conserved regardless.

@@ -48,7 +48,7 @@ class TestRandomizedExtraTokens:
             expander24,
             RandomizedExtraTokens(seed=5),
             point_mass(24, 24 * 64),
-            monitors=(monitor,),
+            probes=(monitor,),
         )
         simulator.run(150)
         assert monitor.min_ever >= 0
@@ -96,7 +96,7 @@ class TestRandomizedEdgeRounding:
             graph,
             RandomizedEdgeRounding(seed=11),
             np.ones(16, dtype=np.int64),
-            monitors=(monitor,),
+            probes=(monitor,),
         )
         result = simulator.run(60)
         assert result.final_loads.sum() == 16  # conserved even if negative

@@ -32,7 +32,7 @@ class TestLedger:
             graph,
             balancer_factory(),
             point_mass(24, 24 * average),
-            monitors=(ledger,),
+            probes=(ledger,),
         )
         simulator.run(120)
         assert ledger.consistent
@@ -47,7 +47,7 @@ class TestLedger:
             graph,
             RotorRouterStar(),
             point_mass(24, 24 * 16),
-            monitors=(ledger,),
+            probes=(ledger,),
         )
         simulator.run(30)
         assert ledger.red_history[-1] == phi(
@@ -62,7 +62,7 @@ class TestLedger:
             graph,
             RotorRouterStar(),
             point_mass(24, 24 * 16),
-            monitors=(ledger,),
+            probes=(ledger,),
         )
         simulator.run(400)
         assert ledger.final_red == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the simulation engine's round semantics and guards."""
+"""Unit tests for the round executor's semantics and guards."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,14 @@ from repro.algorithms import RotorRouter, SendFloor
 from repro.core.balancer import Balancer
 from repro.core.engine import Simulator, simulate
 from repro.core.errors import (
+    ConservationError,
     InvalidSendMatrix,
     NegativeLoadError,
 )
+from repro.engines import ENGINES, register_engine
+from repro.engines.builtin import DenseEngine
 from repro.graphs import families
+from repro.scenarios.batch import BatchRunner
 
 
 class SendNothing(Balancer):
@@ -142,13 +146,58 @@ class TestRoundSemantics:
         assert simulator.discrepancy_history == []
 
 
-class TestGuards:
-    def test_overdraw_raises(self, cycle12):
-        simulator = Simulator(
-            cycle12, Overdraw(), np.ones(12, dtype=np.int64)
+def _simulator(graph, balancer_type, loads, **kwargs):
+    return Simulator(graph, balancer_type(), loads, **kwargs)
+
+
+def _batch(replicas):
+    def build(graph, balancer_type, loads, **kwargs):
+        return BatchRunner(
+            graph,
+            [balancer_type() for _ in range(replicas)],
+            np.tile(loads, (replicas, 1)),
+            **kwargs,
         )
+
+    return build
+
+
+#: Every way to drive the round executor: the single-run view, and a
+#: stack of one and of three replicas.  Guards must fire identically.
+ENTRY_POINTS = {
+    "simulator": _simulator,
+    "batch_1": _batch(1),
+    "batch_3": _batch(3),
+}
+
+
+@pytest.fixture(params=sorted(ENTRY_POINTS))
+def build(request):
+    return ENTRY_POINTS[request.param]
+
+
+@pytest.fixture
+def leaky_engine():
+    """A dense backend that invents one token per round."""
+
+    @register_engine
+    class LeakyEngine(DenseEngine):
+        name = "leaky_test"
+
+        def incoming(self, graph, sends):
+            incoming = super().incoming(graph, sends)
+            incoming[..., 0] += 1
+            return incoming
+
+    yield LeakyEngine.name
+    ENGINES.remove(LeakyEngine.name)
+
+
+class TestGuards:
+    def test_overdraw_raises(self, cycle12, build):
+        runner = build(cycle12, Overdraw, np.ones(12, dtype=np.int64))
         with pytest.raises(NegativeLoadError, match="sent"):
-            simulator.step()
+            runner.step()
 
     def test_overdraw_allowed_when_declared(self, cycle12):
         balancer = Overdraw()
@@ -159,30 +208,36 @@ class TestGuards:
         after = simulator.step()
         assert after.sum() == 12  # still conserved
 
-    def test_bad_shape_raises(self, cycle12):
-        simulator = Simulator(
-            cycle12, BadShape(), np.ones(12, dtype=np.int64)
-        )
+    def test_bad_shape_raises(self, cycle12, build):
+        runner = build(cycle12, BadShape, np.ones(12, dtype=np.int64))
         with pytest.raises(InvalidSendMatrix, match="shape"):
-            simulator.step()
+            runner.step()
 
-    def test_negative_send_raises(self, cycle12):
-        simulator = Simulator(
-            cycle12, NegativeSend(), np.ones(12, dtype=np.int64)
-        )
+    def test_negative_send_raises(self, cycle12, build):
+        runner = build(cycle12, NegativeSend, np.ones(12, dtype=np.int64))
         with pytest.raises(InvalidSendMatrix, match="negative"):
-            simulator.step()
+            runner.step()
 
-    def test_float_send_raises(self, cycle12):
-        simulator = Simulator(
-            cycle12, FloatSend(), np.ones(12, dtype=np.int64)
-        )
+    def test_float_send_raises(self, cycle12, build):
+        runner = build(cycle12, FloatSend, np.ones(12, dtype=np.int64))
         with pytest.raises(InvalidSendMatrix, match="integer"):
-            simulator.step()
+            runner.step()
 
-    def test_wrong_load_length(self, cycle12):
+    def test_wrong_load_length(self, cycle12, build):
         with pytest.raises(InvalidSendMatrix, match="entries"):
-            Simulator(cycle12, SendNothing(), np.ones(5, dtype=np.int64))
+            build(cycle12, SendNothing, np.ones(5, dtype=np.int64))
+
+    def test_conservation_violation_raises(
+        self, cycle12, build, leaky_engine
+    ):
+        runner = build(
+            cycle12,
+            SendOneForward,
+            np.ones(12, dtype=np.int64),
+            engine=leaky_engine,
+        )
+        with pytest.raises(ConservationError, match="token count"):
+            runner.step()
 
 
 class TestRunUntil:

@@ -16,7 +16,7 @@ from tests.helpers import spread_loads
 
 def run_with_tracker(graph, balancer, loads, rounds, record_rounds=False):
     tracker = FlowTracker(record_rounds=record_rounds)
-    simulator = Simulator(graph, balancer, loads, monitors=(tracker,))
+    simulator = Simulator(graph, balancer, loads, probes=(tracker,))
     result = simulator.run(rounds)
     return result, tracker
 

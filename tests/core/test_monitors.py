@@ -22,7 +22,7 @@ class TestDiscrepancyRecorder:
             expander24,
             SendFloor(),
             point_mass(24, 240),
-            monitors=(recorder,),
+            probes=(recorder,),
         )
         simulator.run(5)
         assert len(recorder.history) == 6
@@ -36,7 +36,7 @@ class TestDiscrepancyRecorder:
             expander24,
             RotorRouter(),
             point_mass(24, 480),
-            monitors=(recorder,),
+            probes=(recorder,),
         )
         simulator.run(20)
         assert recorder.history == simulator.discrepancy_history
@@ -49,7 +49,7 @@ class TestLoadBoundsMonitor:
             expander24,
             SendFloor(),
             point_mass(24, 240),
-            monitors=(monitor,),
+            probes=(monitor,),
         )
         simulator.run(10)
         assert monitor.max_ever == 240
@@ -64,7 +64,7 @@ class TestTrajectoryRecorder:
             cycle12,
             SendFloor(),
             point_mass(12, 120),
-            monitors=(recorder,),
+            probes=(recorder,),
         )
         simulator.run(6)
         assert recorder.rounds == [0, 2, 4, 6]
@@ -88,7 +88,7 @@ class TestPeriodDetector:
             graph,
             instance.balancer,
             instance.initial_loads,
-            monitors=(detector,),
+            probes=(detector,),
         )
         simulator.run(6)
         assert detector.period == 2
@@ -99,7 +99,7 @@ class TestPeriodDetector:
             expander24,
             SendFloor(),
             np.full(24, 5, dtype=np.int64),
-            monitors=(detector,),
+            probes=(detector,),
         )
         simulator.run(3)
         assert detector.period == 1

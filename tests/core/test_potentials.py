@@ -85,7 +85,7 @@ class TestMonitorOnRealRuns:
         c_values = [max(c_center - 1, 0), c_center, c_center + 1]
         monitor = PotentialMonitor(c_values, s=1)
         simulator = Simulator(
-            graph, balancer_factory(), initial, monitors=(monitor,)
+            graph, balancer_factory(), initial, probes=(monitor,)
         )
         simulator.run(150)
         assert monitor.all_monotone()
@@ -94,7 +94,7 @@ class TestMonitorOnRealRuns:
         graph = families.cycle(8)
         monitor = PotentialMonitor([1], s=1)
         simulator = Simulator(
-            graph, RotorRouterStar(), point_mass(8, 80), monitors=(monitor,)
+            graph, RotorRouterStar(), point_mass(8, 80), probes=(monitor,)
         )
         simulator.run(9)
         assert len(monitor.phi_history[1]) == 10
@@ -107,7 +107,7 @@ class TestMonitorOnRealRuns:
         c_high = average // graph.total_degree + 3
         monitor = PotentialMonitor([c_high], s=1)
         simulator = Simulator(
-            graph, RotorRouterStar(), initial, monitors=(monitor,)
+            graph, RotorRouterStar(), initial, probes=(monitor,)
         )
         simulator.run(400)
         assert monitor.phi_history[c_high][-1] == 0

@@ -12,7 +12,6 @@ from repro.core.loads import point_mass
 from repro.core.monitors import (
     DiscrepancyRecorder,
     LoadBoundsMonitor,
-    Monitor,
     PeriodDetector,
     TrajectoryRecorder,
 )
@@ -20,12 +19,19 @@ from repro.core.potentials import PotentialMonitor
 from repro.core.probes import (
     PROBES,
     MonitorProbe,
+    Probe,
     ProbeSpec,
     as_probe,
     dense_required,
     loads_only,
 )
 from repro.core.trace import SamplingSchedule
+
+
+class DenseOnly(Probe):
+    """A sends consumer without a compact-round hook."""
+
+    needs = "sends"
 
 
 def _loads(n, tokens=None):
@@ -53,11 +59,10 @@ class TestCapabilityDeclarations:
             assert probe.needs == "sends"
             assert probe.accepts_structured
 
-    def test_legacy_monitor_is_dense_requiring(self):
-        monitor = Monitor()
-        assert monitor.needs == "sends"
-        assert not monitor.accepts_structured
-        assert dense_required([monitor])
+    def test_sends_probe_without_structured_hook_is_dense_requiring(self):
+        probe = DenseOnly()
+        assert not probe.accepts_structured
+        assert dense_required([probe])
         assert not dense_required([LoadBoundsMonitor(), FlowTracker()])
 
     def test_loads_only_helper(self):
@@ -159,7 +164,7 @@ class TestEngineSelection:
             cycle12,
             make("send_floor"),
             _loads(12),
-            probes=(Monitor(),),
+            probes=(DenseOnly(),),
         )
         assert simulator.engine == "dense"
 
@@ -179,18 +184,9 @@ class TestEngineSelection:
                 cycle12,
                 make("send_floor"),
                 _loads(12),
-                probes=(Monitor(),),
+                probes=(DenseOnly(),),
                 engine="structured",
             )
-
-    def test_legacy_monitors_param_still_pins_dense(self, cycle12):
-        simulator = Simulator(
-            cycle12,
-            make("send_floor"),
-            _loads(12),
-            monitors=(LoadBoundsMonitor(),),
-        )
-        assert simulator.engine == "dense"
 
 
 class TestProbeObservation:

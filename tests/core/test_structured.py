@@ -165,29 +165,6 @@ class TestEngineSelection:
         )
         assert simulator.engine == "dense"
 
-    def test_monitors_force_dense(self, cycle12):
-        from repro.core.monitors import LoadBoundsMonitor
-
-        simulator = Simulator(
-            cycle12,
-            make("send_floor"),
-            np.full(12, 5, dtype=np.int64),
-            monitors=(LoadBoundsMonitor(),),
-        )
-        assert simulator.engine == "dense"
-
-    def test_structured_with_monitors_rejected(self, cycle12):
-        from repro.core.monitors import LoadBoundsMonitor
-
-        with pytest.raises(ValueError, match="monitors"):
-            Simulator(
-                cycle12,
-                make("send_floor"),
-                np.full(12, 5, dtype=np.int64),
-                monitors=(LoadBoundsMonitor(),),
-                engine="structured",
-            )
-
     def test_structured_unsupported_balancer_rejected(self, expander24):
         with pytest.raises(ValueError, match="structured"):
             Simulator(
@@ -230,17 +207,7 @@ class TestStructuredEngineInvariants:
 
 
 class TestLateAttach:
-    """Attach-after-construction is `attach()`; list mutation raises."""
-
-    def test_append_to_monitors_raises_clear_error(self, cycle12):
-        from repro.core.monitors import DiscrepancyRecorder
-
-        simulator = Simulator(
-            cycle12, make("send_floor"), _loads_for(cycle12)
-        )
-        assert simulator.engine == "structured"
-        with pytest.raises(TypeError, match="attach"):
-            simulator.monitors.append(DiscrepancyRecorder())
+    """Attach-after-construction goes through `attach()`."""
 
     def test_attach_starts_probe_and_keeps_structured(self, cycle12):
         from repro.core.monitors import DiscrepancyRecorder
@@ -267,9 +234,11 @@ class TestLateAttach:
         assert probe.history == simulator.discrepancy_history[3:]
 
     def test_attach_dense_probe_downgrades_auto_engine(self, cycle12):
-        from repro.core.monitors import Monitor
+        from repro.core.probes import Probe
 
-        class DenseOnly(Monitor):
+        class DenseOnly(Probe):
+            needs = "sends"
+
             def __init__(self):
                 self.seen = 0
 
@@ -289,7 +258,10 @@ class TestLateAttach:
     def test_attach_dense_probe_on_explicit_structured_raises(
         self, cycle12
     ):
-        from repro.core.monitors import Monitor
+        from repro.core.probes import Probe
+
+        class DenseOnly(Probe):
+            needs = "sends"
 
         simulator = Simulator(
             cycle12,
@@ -298,4 +270,4 @@ class TestLateAttach:
             engine="structured",
         )
         with pytest.raises(ValueError, match="dense sends"):
-            simulator.attach(Monitor())
+            simulator.attach(DenseOnly())

@@ -75,7 +75,7 @@ class TestRegistryContents:
         assert create_engine("spmm").kernel == "csr"
         compiled = create_engine("compiled")
         assert compiled.protocol == STRUCTURED
-        assert compiled.kernel in ("numba", "csr")
+        assert compiled.kernel == "csr"
 
     def test_engine_names_sorted(self):
         assert list(engine_names()) == sorted(engine_names())
@@ -133,18 +133,6 @@ class TestProtocolConstraints:
                 engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["structured", "compiled"])
-    def test_legacy_monitors_rejected(self, engine):
-        graph = _graph()
-        with pytest.raises(ValueError, match="monitors consume dense"):
-            Simulator(
-                graph,
-                make("rotor_router"),
-                _loads(graph),
-                monitors=[LoadBoundsMonitor()],
-                engine=engine,
-            )
-
     @pytest.mark.parametrize("engine", ["dense", "spmm"])
     def test_dense_protocol_backends_take_any_balancer(self, engine):
         graph = _graph()
@@ -152,7 +140,7 @@ class TestProtocolConstraints:
             graph,
             make("arbitrary_rounding_fixed"),
             _loads(graph),
-            monitors=[LoadBoundsMonitor()],
+            probes=[LoadBoundsMonitor()],
             engine=engine,
         ).run(10)
         assert result.rounds_executed == 10

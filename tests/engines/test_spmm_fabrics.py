@@ -103,7 +103,7 @@ def test_churn_repair_on_fabric_rows(fabric):
         engine.incoming(graph, sends), _dense_gather(graph, sends)
     )
     np.testing.assert_array_equal(
-        engine._ops[id(graph)].matrix.indices,
+        engine._ops[graph].matrix.indices,
         _GatherOperator(graph).matrix.indices,
     )
 

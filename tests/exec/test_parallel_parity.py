@@ -239,7 +239,7 @@ class TestNonSerializableScenarios:
     def test_serial_override_run_skips_serialization(self, tmp_path):
         # With a graph override the cache is bypassed, so a serial
         # executor must not demand serializability it will never use
-        # (monitor factories are legal in-process but not cacheable).
+        # (probe factories are legal in-process but not cacheable).
         from repro.core.monitors import LoadBoundsMonitor
 
         spec = GraphSpec("cycle", {"n": 12})
@@ -248,7 +248,7 @@ class TestNonSerializableScenarios:
             algorithm=AlgorithmSpec("send_floor"),
             loads=LoadSpec("point_mass", {"tokens": 120}),
             stop=StopRule.fixed(10),
-            monitors=(LoadBoundsMonitor,),
+            probes=(LoadBoundsMonitor,),
         )
         suite = ScenarioSuite((scenario,))
         from repro.exec import ResultCache

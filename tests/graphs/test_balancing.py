@@ -249,9 +249,9 @@ class TestMemoryEstimate:
             engine='partitioned:{"workers": 2, "inline": true}',
         )
         sim.run(2)
-        engine = sim._backend
+        engine = sim._runner._backend
         assert isinstance(engine, PartitionedEngine)
-        state = engine._states[id(graph)]
+        state = engine._states[graph]
         measured = sum(
             halo.adj_local.nbytes for halo in state.book.halos
         )

@@ -39,7 +39,7 @@ def run_monitored(
         graph,
         balancer,
         initial_loads,
-        monitors=(fairness, cumulative, flows, bounds),
+        probes=(fairness, cumulative, flows, bounds),
     )
     result = simulator.run(rounds)
     return result, classify_run(fairness, cumulative), flows, bounds

@@ -35,7 +35,7 @@ def test_balances_everywhere(graph_name, algorithm):
         graph,
         make(algorithm, seed=3),
         point_mass(n, tokens),
-        monitors=(monitor,),
+        probes=(monitor,),
     )
     rounds = 600 if graph_name == "cycle" else 300
     result = simulator.run(rounds)

@@ -69,7 +69,7 @@ def test_never_negative_for_safe_algorithms(case):
     ):
         monitor = LoadBoundsMonitor()
         simulator = Simulator(
-            graph, balancer, loads, monitors=(monitor,)
+            graph, balancer, loads, probes=(monitor,)
         )
         simulator.run(8)
         assert monitor.min_ever >= 0

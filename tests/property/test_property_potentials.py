@@ -65,7 +65,7 @@ def test_potentials_monotone_for_good_balancers(case, rounds):
         [c_center, c_center + 1, c_center + 3], s=1
     )
     simulator = Simulator(
-        graph, RotorRouterStar(), loads, monitors=(monitor,)
+        graph, RotorRouterStar(), loads, probes=(monitor,)
     )
     simulator.run(rounds)
     assert monitor.all_monotone()

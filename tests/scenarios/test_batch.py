@@ -282,3 +282,86 @@ class TestBatchProbes:
             assert record.summary["min_load"] == 0
             assert record.summary["max_load"] == 240
         assert batch.replica(0).record is batch.records[0]
+
+
+def _after(checks):
+    """A predicate that holds from its ``checks``-th evaluation on."""
+    calls = iter(range(10**9))
+    return lambda loads: next(calls) >= checks
+
+
+class TestAcrossCalls:
+    """Later calls pick up where run_until left off, per replica."""
+
+    @pytest.mark.parametrize("axis", ["dynamics", "faults"])
+    def test_stack_freezing_is_permanent(self, expander24, axis):
+        from repro.algorithms import SendFloor
+        from repro.core.engine import Simulator
+        from repro.dynamics import DynamicsSpec
+        from repro.faults.spec import FaultSpec
+
+        spec = {
+            "dynamics": DynamicsSpec("constant_rate", {"rate": 6, "seed": 2}),
+            "faults": FaultSpec("message_drop", {"rate": 0.1, "seed": 10}),
+        }[axis]
+        initial = np.random.default_rng(4).integers(0, 200, (2, 24))
+        runner = BatchRunner(
+            expander24, SendFloor(), initial, **{axis: spec}
+        )
+        runner.run_until([_after(5), _after(10**9)], max_rounds=12)
+        batch = runner.run(7)
+        frozen = Simulator(
+            expander24, SendFloor(), initial[0], **{axis: spec.build(0)}
+        ).run_until(_after(5), max_rounds=12)
+        live = Simulator(
+            expander24, SendFloor(), initial[1], **{axis: spec.build(1)}
+        )
+        live.run_until(_after(10**9), max_rounds=12)
+        resumed = live.run(7)
+        np.testing.assert_array_equal(batch.final_loads[0], frozen.final_loads)
+        np.testing.assert_array_equal(batch.final_loads[1], resumed.final_loads)
+        assert batch.histories == [
+            frozen.discrepancy_history, resumed.discrepancy_history
+        ]
+        assert batch.rounds_executed.tolist() == [5, 19]
+        assert batch.stopped_early.tolist() == [True, False]
+        assert batch.records[1].summary == resumed.record.summary
+
+    def test_simulator_resumes_after_satisfied_run_until(self, expander24):
+        from repro.algorithms import SendFloor
+        from repro.core.engine import Simulator
+        from repro.dynamics import DynamicsSpec
+
+        spec = DynamicsSpec("constant_rate", {"rate": 6, "seed": 2})
+        initial = np.random.default_rng(4).integers(0, 200, 24)
+        sim = Simulator(expander24, SendFloor(), initial, dynamics=spec)
+        assert sim.run_until(_after(5), max_rounds=12).stopped_early
+        later = sim.run(7)
+        straight = Simulator(
+            expander24, SendFloor(), initial, dynamics=spec
+        ).run(12)
+        assert not later.stopped_early and sim.round == 13
+        np.testing.assert_array_equal(later.final_loads, straight.final_loads)
+        assert later.discrepancy_history == straight.discrepancy_history
+        assert later.record.summary == straight.record.summary
+
+    def test_attach_rejected_on_stack(self, expander24):
+        from repro.algorithms import SendFloor
+        from repro.core.monitors import LoadBoundsMonitor
+
+        runner = BatchRunner(
+            expander24, SendFloor(), np.ones((2, 24), dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match="single-replica"):
+            runner.attach(LoadBoundsMonitor())
+
+    @pytest.mark.parametrize("axis", ["dynamics", "faults", "topology"])
+    def test_bad_schedule_value_is_type_error(self, expander24, axis):
+        from repro.algorithms import SendFloor
+        from repro.core.engine import Simulator
+
+        with pytest.raises(TypeError, match="cannot interpret"):
+            Simulator(
+                expander24, SendFloor(), np.ones(24, dtype=np.int64),
+                **{axis: 5},
+            )

@@ -62,11 +62,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="prebuilt graph"):
             scenario.to_dict()
 
-    def test_monitors_not_serializable(self):
-        scenario = make_scenario(monitors=(LoadBoundsMonitor,))
-        with pytest.raises(ValueError, match="monitor"):
-            scenario.to_dict()
-
     def test_dynamics_round_trip(self):
         from repro.scenarios import DynamicsSpec
 
@@ -140,11 +135,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="executor"):
             make_scenario().run(executor="gpu")
 
-    def test_monitors_reject_batch_executor(self):
-        scenario = make_scenario(monitors=(LoadBoundsMonitor,))
-        with pytest.raises(ValueError, match="looped"):
-            scenario.run(executor="batch")
-
     def test_unknown_algorithm_surfaces_keyerror(self):
         scenario = make_scenario(
             algorithm=AlgorithmSpec("quantum_annealer")
@@ -191,10 +181,11 @@ class TestSpecs:
 
 
 class TestRunAndSuite:
-    def test_run_with_monitors_collects_instances(self):
-        scenario = make_scenario(monitors=(LoadBoundsMonitor,))
-        outcome = scenario.run()
-        assert outcome.executor == "loop"
+    @pytest.mark.parametrize("executor", ["loop", "batch"])
+    def test_run_with_probe_factories_collects_instances(self, executor):
+        scenario = make_scenario(probes=(LoadBoundsMonitor,))
+        outcome = scenario.run(executor=executor)
+        assert outcome.executor == executor
         for replica in range(scenario.replicas):
             monitor = outcome.monitor(LoadBoundsMonitor, replica)
             assert monitor is not None
