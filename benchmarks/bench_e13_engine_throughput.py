@@ -24,12 +24,10 @@ when the machine has at least as many cpus as workers.
 
 The **backend ladder** times every backend registered in
 :data:`repro.engines.ENGINES` (not just the two historical engines) on
-the same cycles, records each backend's kernel flavor, verifies all backends bit-identical, and pairs a
-compiled-vs-structured rotor timing per iteration; ``--check``
-additionally requires the compiled rotor round to beat the pure
-structured rotor at every ``n >= 4096``.  The partitioned backend's
-rows carry a ``partitioned_vs_structured`` ratio and machine context;
-``--check`` demands a >= 2x rotor speedup at ``n >= 2^20`` on machines
+the same cycles, records each backend's kernel flavor, and verifies
+all backends bit-identical.  The partitioned backend's rows carry a
+``partitioned_vs_structured`` ratio and machine context; ``--check``
+demands a >= 2x rotor speedup at ``n >= 2^20`` on machines
 with at least 4 cpus (skipped with a note below that — the worker
 fan-out is cpu-bounded by construction).  ``--ten-million`` runs the
 10^7-node headline: structured vs partitioned, verified bit-identical.
@@ -157,12 +155,9 @@ def test_batched_matches_looped(batch_graph, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["send_floor", "rotor_router"])
-@pytest.mark.parametrize(
-    "engine", ["dense", "structured", "spmm", "compiled"]
-)
+@pytest.mark.parametrize("engine", ["dense", "structured"])
 def test_engine_throughput(benchmark, graph, algorithm, engine):
-    """Every registered backend on the same scenario (was dense vs
-    structured; the registry added the CSR and compiled kernels)."""
+    """The serial backends on the same scenario."""
 
     def run_once():
         simulator = Simulator(
@@ -565,19 +560,11 @@ BACKEND_ALGORITHMS = ("rotor_router", "send_floor")
 def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
     """Per-backend rows: every engine in the registry on the cycle ladder.
 
-    Dense-protocol backends (``dense``, ``spmm``) allocate the
-    ``(n, d+)`` sends matrix the structured path removes, so they skip
-    rungs above ``dense_cap`` exactly like the dense column of the
-    classic ladder.  Every backend that ran is verified bit-identical
-    against the dense reference (or the structured one above the cap).
-
-    ``compiled_vs_structured`` is the rotor-kernel headline: the ratio
-    of the compiled backend's wall time to the pure structured one,
-    *paired per iteration* (back-to-back runs under the same clock
-    conditions) with the timed window stretched at small ``n`` — the
-    same two tricks the overhead rows use.  Below 1.0 means the fused
-    kernel won; ``--check`` requires that at every ``n >= 4096`` for
-    the rotor-router (the algorithm whose round the kernel fuses).
+    The dense-protocol backend allocates the ``(n, d+)`` sends matrix
+    the structured path removes, so it skips rungs above ``dense_cap``
+    exactly like the dense column of the classic ladder.  Every backend
+    that ran is verified bit-identical against the dense reference (or
+    the structured one above the cap).
     """
     from repro.core.loads import adversarial_split
     from repro.engines import DENSE, ENGINES, create_engine
@@ -610,37 +597,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                         f"backend {name!r} diverged from the reference "
                         f"at n={n}, {algorithm}"
                     )
-            compiled_ratio = None
-            if "compiled" in seconds_by and "structured" in seconds_by:
-                # Stretch the window at small n and pair each ratio —
-                # a ~2x kernel effect is unmeasurable from separate
-                # millisecond-scale timing blocks on a busy box.
-                paired_rounds = rounds * max(1, 131_072 // n)
-                compiled_ratio = float("inf")
-                for _ in range(max(repeats, 5)):
-                    structured, _, _ = _time_run(
-                        graph,
-                        algorithm,
-                        loads,
-                        paired_rounds,
-                        "structured",
-                        1,
-                    )
-                    compiled, _, _ = _time_run(
-                        graph,
-                        algorithm,
-                        loads,
-                        paired_rounds,
-                        "compiled",
-                        1,
-                    )
-                    compiled_ratio = min(
-                        compiled_ratio, compiled / structured
-                    )
-                compiled_ratio = min(
-                    compiled_ratio,
-                    seconds_by["compiled"] / seconds_by["structured"],
-                )
             partitioned_ratio = None
             if (
                 "partitioned" in seconds_by
@@ -685,10 +641,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                     for name in seconds_by
                 },
             }
-            if compiled_ratio is not None:
-                entry["compiled_vs_structured"] = round(
-                    compiled_ratio, 3
-                )
             if partitioned_ratio is not None:
                 entry["partitioned_vs_structured"] = round(
                     partitioned_ratio, 3
@@ -700,13 +652,7 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                 f" [{kernel_by[name]}]"
                 for name in sorted(seconds_by)
             )
-            ratio = (
-                f"  compiled/structured "
-                f"{entry['compiled_vs_structured']:5.2f}x"
-                if compiled_ratio is not None
-                else ""
-            )
-            print(f"n={n:>8d} {algorithm:<13s} {summary}{ratio}")
+            print(f"n={n:>8d} {algorithm:<13s} {summary}")
     return entries
 
 
@@ -807,7 +753,6 @@ def run_million_headline(rounds=50, algorithms=LADDER_ALGORITHMS):
     construct_seconds = time.perf_counter() - start
     loads = adversarial_split(n, 32 * n)
     per_algorithm = {}
-    compiled_per_algorithm = {}
     for algorithm in algorithms:
         algo_start = time.perf_counter()
         _Simulator(
@@ -820,29 +765,10 @@ def run_million_headline(rounds=50, algorithms=LADDER_ALGORITHMS):
         per_algorithm[algorithm] = round(
             time.perf_counter() - algo_start, 2
         )
-        # The same rounds through the compiled backend: only the
-        # rotor-router has a fused kernel (the others delegate to the
-        # compact apply), but recording every algorithm keeps the two
-        # headline dicts comparable row-for-row.
-        algo_start = time.perf_counter()
-        _Simulator(
-            graph,
-            make(algorithm),
-            loads,
-            record_history=False,
-            engine="compiled",
-        ).run(rounds)
-        compiled_per_algorithm[algorithm] = round(
-            time.perf_counter() - algo_start, 2
-        )
     total = round(time.perf_counter() - start, 2)
-    from repro.engines import create_engine
-
-    kernel = create_engine("compiled").kernel
     print(
         f"headline: cycle(10^6) construct {construct_seconds:.2f}s, "
         f"{rounds} structured rounds {per_algorithm}, "
-        f"compiled[{kernel}] rounds {compiled_per_algorithm}, "
         f"total {total:.2f}s"
     )
     return {
@@ -850,8 +776,6 @@ def run_million_headline(rounds=50, algorithms=LADDER_ALGORITHMS):
         "rounds": rounds,
         "construct_seconds": round(construct_seconds, 2),
         "structured_seconds": per_algorithm,
-        "compiled_kernel": kernel,
-        "compiled_seconds": compiled_per_algorithm,
         "total_seconds": total,
     }
 
@@ -993,8 +917,7 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero if structured is slower than dense, the "
-        "compiled rotor kernel is slower than the structured rotor, a "
+        help="exit nonzero if structured is slower than dense, a "
         "loads-only probe forces the dense path, or "
         "probe/injection/fault/topology overhead exceeds its limit "
         "at any n >= 4096",
@@ -1161,23 +1084,6 @@ def main(argv=None):
                 )
         for entry in report["backend_ladder"]:
             if (
-                entry["n"] < 4096
-                or entry["algorithm"] != "rotor_router"
-                or "compiled_vs_structured" not in entry
-            ):
-                continue
-            if entry["compiled_vs_structured"] >= 1.0:
-                failed = True
-                kernel = entry["backends"]["compiled"]["kernel"]
-                print(
-                    f"FAIL: compiled rotor kernel [{kernel}] not "
-                    f"faster than the structured rotor at "
-                    f"n={entry['n']}: "
-                    f"{entry['compiled_vs_structured']}x",
-                    file=sys.stderr,
-                )
-        for entry in report["backend_ladder"]:
-            if (
                 entry["n"] < args.partitioned_gate_min_n
                 or entry["algorithm"] != "rotor_router"
                 or "partitioned_vs_structured" not in entry
@@ -1233,8 +1139,7 @@ def main(argv=None):
         if failed:
             return 1
         print(
-            "check passed: structured >= dense, compiled rotor < "
-            "structured rotor, probe overhead "
+            "check passed: structured >= dense, probe overhead "
             f"<= {args.probe_overhead_limit}x (structured engine "
             f"kept), injection overhead <= "
             f"{args.dynamics_overhead_limit}x, fault-schedule "

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.core.balancer import AlgorithmProperties, Balancer
 from repro.core.errors import BindingError
-from repro.core.structured import RotorWindow, StructuredRound
+from repro.core.structured import (
+    RotorWindow,
+    StructuredRound,
+    rotor_gather,
+)
 from repro.graphs.balancing import BalancingGraph
 
 
@@ -80,6 +84,7 @@ class RotorRouter(Balancer):
         self._orders: np.ndarray | None = None
         self._rotors: np.ndarray | None = None
         self._reverse_flat: np.ndarray | None = None
+        self._gather = None
         self.refresh_rows = 0
         self.refresh_full = 0
 
@@ -110,23 +115,28 @@ class RotorRouter(Balancer):
 
     def _on_bind(self, graph: BalancingGraph) -> None:
         d_plus = graph.total_degree
+        # Structured-execution precomputes: positions is the inverse
+        # permutation of the port order (cyclic position of each port);
+        # reverse_flat and its CSR gather carry the sender-side (n, d)
+        # per-port values to the receiver side (see RotorWindow).  All
+        # are static per bind and shared by every round's RotorWindow.
         if self._custom_orders is not None:
             self._orders = np.asarray(self._custom_orders, dtype=np.int64)
+            self._positions = np.argsort(self._orders, axis=1)
         else:
+            # Every node shares one interleaved row: read-only broadcast
+            # views instead of two (n, d+) copies.
             row = interleaved_port_order(
                 graph.degree, graph.num_self_loops
             )
-            self._orders = np.tile(row, (graph.num_nodes, 1))
+            shape = (graph.num_nodes, d_plus)
+            self._orders = np.broadcast_to(row, shape)
+            self._positions = np.broadcast_to(np.argsort(row), shape)
         self._position_window = np.arange(d_plus)[None, :]
-        # Structured-execution precomputes: positions is the inverse
-        # permutation of the port order (cyclic position of each port);
-        # reverse_flat gathers the sender-side (n, d) edge-hit matrix
-        # to the receiver side (see RotorWindow).  Both are static per
-        # bind and shared by every round's RotorWindow.
-        self._positions = np.argsort(self._orders, axis=1)
         self._reverse_flat = (
             graph.adjacency * graph.degree + graph.reverse_port
         ).ravel()
+        self._gather = rotor_gather(graph, self._reverse_flat)
 
     def refresh_topology(self, graph: BalancingGraph, dirty=None) -> None:
         """Repair ``reverse_flat`` for the mutated rows only.
@@ -134,9 +144,10 @@ class RotorRouter(Balancer):
         ``_orders``/``_positions``/``_position_window`` depend only on
         ``(n, d+)`` — unchanged under in-place churn — and the rotors
         deliberately keep their positions, so the receiver-side gather
-        index is the only structure that goes stale.  Repair cost is
-        O(|dirty| * d), independent of ``n``; the counters back the
-        incrementality regression test.
+        index is the only structure that goes stale.  It is also the
+        gather operator's ``indices``, so the in-place repair keeps the
+        operator current.  Repair cost is O(|dirty| * d), independent
+        of ``n``; the counters back the incrementality regression test.
         """
         self._graph = graph
         if dirty is None or self._reverse_flat is None:
@@ -204,6 +215,7 @@ class RotorRouter(Balancer):
             extra=extra,
             positions=self._positions,
             reverse_flat=self._reverse_flat,
+            gather=self._gather,
         )
         self._rotors = (self._rotors + extra) % d_plus
         return StructuredRound(

@@ -201,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "execution backend: auto (default), or any registered "
-            "engine — dense, structured, spmm (CSR SpMM gather), "
-            "compiled (fused CSR rotor kernel), partitioned (k partitions x worker processes "
-            "over shared memory; params via "
+            "engine — dense, structured, partitioned (k partitions x "
+            "worker processes over shared memory; params via "
             "'partitioned:{\"workers\": 4}'); see --list-engines"
         ),
     )

@@ -32,9 +32,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.errors import InvalidSendMatrix
 from repro.graphs.balancing import BalancingGraph
+
+
+def rotor_gather(
+    graph: BalancingGraph, reverse_flat: np.ndarray
+) -> sp.csr_matrix:
+    """The ``(n, n·d)`` CSR inflow operator of a rotor round.
+
+    Row ``u`` holds a one at each of its ``d`` reverse-edge slots
+    ``reverse_flat[u·d : (u+1)·d]``.  The arrays are assigned after
+    construction so that ``indices`` *is* ``reverse_flat`` (int64, no
+    scipy int32 downcast copy) and ``indptr`` matches its dtype, which
+    keeps the matvec copy-free; see :class:`RotorWindow` for the alias
+    invariant this buys.  The scalar-step ``indptr`` needs every row
+    padded to exactly ``graph.degree`` edge ports.
+    """
+    size = reverse_flat.size
+    if size != graph.num_nodes * graph.degree:
+        raise ValueError(
+            f"rotor gather needs a degree-padded adjacency: {size} edge "
+            f"ports for {graph.num_nodes} nodes of degree {graph.degree}"
+        )
+    gather = sp.csr_matrix((graph.num_nodes, size), dtype=np.int64)
+    gather.data = np.ones(size, dtype=np.int64)
+    gather.indptr = np.arange(0, size + 1, graph.degree, dtype=np.int64)
+    gather.indices = reverse_flat
+    return gather
 
 
 @dataclass
@@ -53,23 +80,30 @@ class RotorWindow:
     probe, and fault paths.  Callers must not mutate ``rotors``/
     ``extra`` after the first query.
 
-    ``positions`` and ``reverse_flat`` are static per-bind precomputes
-    owned by the balancer (shared across rounds):
+    ``positions``, ``reverse_flat`` and ``gather`` are static per-bind
+    precomputes owned by the balancer (shared across rounds):
 
     * ``positions[u, p]`` — cyclic position of port ``p`` in node
       ``u``'s rotor order (the inverse permutation of the port order);
     * ``reverse_flat`` — flat index ``adjacency * d + reverse_port``
-      (raveled): gathering the sender-side ``(n, d)`` edge-hit matrix
-      through it yields, for each ``(u, j)``, whether the token
-      arriving at ``u`` over port ``j`` carries the sender's window +1.
-      One hit matrix thus serves both the outgoing and the incoming
-      side of the round.
+      (raveled): entry ``(u, j)`` is the sender-side ``(n, d)`` slot of
+      the token arriving at ``u`` over port ``j``;
+    * ``gather`` — the :func:`rotor_gather` CSR operator over
+      ``reverse_flat``: applied to a raveled sender-side ``(n, d)``
+      per-port value matrix it yields each node's inflow, so one
+      quotient-plus-hit matrix serves both sides of the round.
+
+    Alias invariant: ``gather.indices`` *is* ``reverse_flat`` (the same
+    int64 memory), so repairing ``reverse_flat`` in place under churn
+    repairs the operator too.  Never rebind ``reverse_flat`` without
+    rebuilding ``gather``.
     """
 
     rotors: np.ndarray
     extra: np.ndarray
     positions: np.ndarray
     reverse_flat: np.ndarray
+    gather: sp.csr_matrix
     _edge_hit_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
@@ -175,22 +209,17 @@ class StructuredRound:
         Self-loop tokens and the remainder both stay at the node, so
         only the edge flows move:
         ``new = loads - edge_outflow + share-gather (+ window hits)``.
+        A rotor round gathers quotient and window hit in one CSR
+        matvec over the sender-side per-port values.
         """
         share = self.edge_share
-        incoming = np.take(share, graph.adjacency, axis=-1).sum(axis=-1)
-        outgoing = graph.degree * share
-        if self.window is not None:
-            # One sender-side hit matrix serves both directions: its
-            # row sums are the extra outflow, and gathering it through
-            # the precomputed reverse-edge index yields the extra
-            # inflow.
-            hits = self.window.edge_hit_matrix(graph)
-            outgoing = outgoing + hits.sum(axis=1)
-            incoming = incoming + (
-                hits.reshape(-1)[self.window.reverse_flat]
-                .reshape(graph.adjacency.shape)
-                .sum(axis=1)
-            )
+        window = self.window
+        if window is None:
+            incoming = np.take(share, graph.adjacency, axis=-1).sum(axis=-1)
+            return loads - graph.degree * share + incoming
+        hits = window.edge_hit_matrix(graph)
+        outgoing = graph.degree * share + hits.sum(axis=1)
+        incoming = window.gather @ (share[:, None] + hits).ravel()
         return loads - outgoing + incoming
 
     # -- validation (compact form; no dense allocation) -----------------

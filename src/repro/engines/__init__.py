@@ -6,15 +6,14 @@
 computation to a registered :class:`EngineBackend` and keeps everything
 else (validation, conservation, probes, faults, churn).  See
 :mod:`repro.engines.base` for the backend contract and the built-in
-modules for the four shipped backends:
+modules for the three shipped backends:
 
 ======================  ==========  ========================================
 name                    protocol    kernel
 ======================  ==========  ========================================
 ``dense``               dense       numpy gather (universal fallback)
-``structured``          structured  numpy matrix-free (auto fast path)
-``spmm``                dense       scipy-CSR SpMM gather
-``compiled``            structured  fused rotor round (one CSR matvec)
+``structured``          structured  numpy matrix-free, rotor rounds as
+                                    one CSR gather (auto fast path)
 ``partitioned``         structured  k partitions x worker processes + shm
 ======================  ==========  ========================================
 
@@ -38,8 +37,6 @@ from repro.engines.base import (
     split_engine_spec,
 )
 from repro.engines import builtin as _builtin  # noqa: F401 (registers)
-from repro.engines import spmm as _spmm  # noqa: F401 (registers)
-from repro.engines import compiled as _compiled  # noqa: F401 (registers)
 from repro.engines import partitioned as _partitioned  # noqa: F401
 
 __all__ = [

@@ -16,18 +16,18 @@ array computation of one round:
 
 Backends register under a name in :data:`ENGINES` (the same
 :class:`~repro.registry.Registry` mechanism as balancers, probes,
-injectors and topology schedules), so ``engine="spmm"`` in a Scenario,
-on the CLI, or in a ``Simulator``/``BatchRunner`` constructor resolves
-through one table — and new backends (a partitioned multi-core engine,
-a GPU kernel) plug in without touching the orchestrators.
+injectors and topology schedules), so ``engine="partitioned"`` in a
+Scenario, on the CLI, or in a ``Simulator``/``BatchRunner`` constructor
+resolves through one table — and new backends (a GPU kernel, say) plug
+in without touching the orchestrators.
 
 Every backend must be **bit-identical** to the builtin dense engine:
-all protocol state is integer, so alternative kernels (CSR SpMM, fused
-compiled loops) are exact, not approximate.  The cross-backend property
+all protocol state is integer, so alternative kernels (CSR gathers,
+partitioned worker processes) are exact, not approximate.  The cross-backend property
 suite enforces this for every registered name.
 
 A backend instance is private to one executor and
-may cache per-graph precomputes (gather indices, sparse operators)
+may cache per-graph precomputes (gather indices, partition state)
 keyed by the graph object itself (a ``weakref.WeakKeyDictionary``,
 never ``id(graph)``, which a new graph can inherit once the old one is
 freed); :meth:`EngineBackend.refresh_topology` is
@@ -65,7 +65,7 @@ class EngineBackend:
             refuse dense-demanding observers, dense backends work with
             everything.
         kernel: short label of the compute flavor actually in use
-            (``"numpy"``, ``"csr"``, ``"shm"``) — surfaced by
+            (``"numpy"``, ``"shm"``) — surfaced by
             ``--list-engines`` and the E13 per-backend rows.
     """
 

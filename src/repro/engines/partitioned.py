@@ -395,8 +395,8 @@ class PartitionedEngine(EngineBackend):
         self.workers = workers
         self.min_nodes = int(min_nodes)
         self.inline = inline
-        # Graph object -> _GraphState, like the spmm/compiled operator
-        # caches.  Worker-side state is keyed by a per-engine counter,
+        # Graph object -> _GraphState, like the dense engine's flat
+        # index cache.  Worker-side state is keyed by a per-engine counter,
         # so a graph that reuses a freed graph's id gets a fresh token.
         self._states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._tokens = itertools.count()

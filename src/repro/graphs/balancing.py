@@ -403,52 +403,36 @@ def estimate_memory_bytes(
     below ``n ≈ 10^3`` and strictly faster from there up, which is why
     ``engine="auto"`` prefers it whenever the balancer supports it.
 
-    Backend operators (registry engines) add per-graph state on top of
-    the protocol baseline, and the estimate accounts for each:
+    A bound rotor router holds the CSR gather operator the structured
+    engine runs its rounds through (see
+    :func:`~repro.core.structured.rotor_gather`): ``n·d`` all-ones int64
+    data entries plus the ``(n + 1)`` int64 ``indptr``.  Its ``indices``
+    are the balancer's ``reverse_flat`` array itself, so they cost
+    nothing extra.  The operator is built at bind whichever engine runs
+    the rounds, so every estimate counts it (SEND-style balancers hold
+    none; for them the term is slack).
 
-    * ``spmm`` — the dense baseline plus its ``(n, n·d+)`` CSR gather
-      operator: ``n·d`` int64 data entries plus index arrays (scipy
-      downcasts indices to int32 while ``n·d+`` fits).
-    * ``compiled`` — the structured baseline plus the CSR rotor
-      operator (``2·n·d`` entries: +1 reverse-edge / -1 own-port
-      halves) and its three preallocated ``(n, d)`` round buffers.
-    * ``partitioned`` — the structured baseline plus the per-partition
-      remapped adjacency and the two rotor-position precomputes (three
-      ``(n, d)`` int64 arrays across all partitions) and the four
-      length-``n`` shared-memory round blocks (share/loads/rotors/
-      extra).  Halo ghost slots are cut-dependent and small for
-      contiguous partitions of the standard families; they are not
-      counted.  Worker-side mirrors double the partition state when
-      processes are in use.
+    The **partitioned** backend adds per-graph state on top of the
+    structured estimate: the per-partition remapped adjacency and the
+    two rotor-position precomputes (three ``(n, d)`` int64 arrays
+    across all partitions) and the four length-``n`` shared-memory
+    round blocks (share/loads/rotors/extra).  Halo ghost slots are
+    cut-dependent and small for contiguous partitions of the standard
+    families; they are not counted.  Worker-side mirrors double the
+    partition state when processes are in use.
 
-    The regression suite pins these terms against measured ``nbytes``
-    of the real operators at small ``n``.
+    The regression suite pins the operator and partition terms against
+    measured ``nbytes`` of the real arrays at small ``n``.
     """
     if degree is None:
         degree = max(1, d_plus // 2)
-    structured = 8 * n * (6 + degree)
-    dense = 8 * n * d_plus + 8 * 4 * n
-    # scipy picks int32 index arrays while the flat column space fits.
-    index_bytes = 4 if n * d_plus <= np.iinfo(np.int32).max else 8
+    rotor_gather = 8 * n * degree + 8 * (n + 1)  # data + indptr
+    structured = 8 * n * (6 + degree) + rotor_gather
+    dense = 8 * n * d_plus + 8 * 4 * n + rotor_gather
     if engine == "dense":
         return dense
     if engine == "structured":
         return structured
-    if engine == "spmm":
-        operator = (
-            8 * n * degree  # all-ones int64 data
-            + index_bytes * n * degree  # indices
-            + index_bytes * (n + 1)  # indptr
-        )
-        return dense + operator
-    if engine == "compiled":
-        operator = (
-            8 * 2 * n * degree  # ±1 int64 data halves
-            + index_bytes * 2 * n * degree  # indices
-            + index_bytes * (n + 1)  # indptr
-        )
-        buffers = 8 * n * degree * 2 + n * degree  # offsets/values + hits
-        return structured + operator + buffers
     if engine == "partitioned":
         partition_state = 8 * n * degree * 3  # adj_local, pos_local/rev
         round_blocks = 8 * 4 * n  # share/loads/rotors/extra in shm

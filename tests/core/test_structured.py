@@ -8,8 +8,9 @@ from repro.algorithms.rotor_router import RotorRouter
 from repro.algorithms.send_floor import SendFloor
 from repro.core.engine import Simulator
 from repro.core.errors import InvalidSendMatrix, NegativeLoadError
-from repro.core.structured import StructuredRound
-from repro.graphs import families
+from repro.core.structured import StructuredRound, rotor_gather
+from repro.graphs import MutableBalancingGraph, families
+from repro.graphs.datacenter import fat_tree, leaf_spine
 
 STRUCTURED_ALGORITHMS = ["send_floor", "send_rounded", "rotor_router"]
 
@@ -69,6 +70,155 @@ class TestToDenseParity:
         np.testing.assert_array_equal(
             dense_balancer.rotors, structured_balancer.rotors
         )
+
+
+def _window(balancer, graph):
+    """The balancer's rotor window (an all-zero round moves no rotor)."""
+    loads = np.zeros(graph.num_nodes, dtype=np.int64)
+    return balancer.sends_structured(loads, 1).window
+
+
+class TestRotorGatherAlias:
+    """The rotor gather's ``indices`` *are* ``reverse_flat``.
+
+    In-place churn repair of ``reverse_flat`` is what keeps the gather
+    operator current; a copy (say, a scipy upgrade that re-casts the
+    index array on assignment) would go silently stale under churn.
+    """
+
+    def _mutable(self):
+        return MutableBalancingGraph.from_graph(
+            families.cycle(12, num_self_loops=2)
+        )
+
+    def test_shared_after_bind_and_after_dirty_repair(self):
+        graph = self._mutable()
+        structured = RotorRouter().bind(graph)
+        dense = RotorRouter().bind(graph)
+        window = _window(structured, graph)
+        assert np.shares_memory(window.gather.indices, window.reverse_flat)
+        graph.drop_edge(1, 2)
+        graph.drop_edge(5, 6)
+        graph.add_edge(1, 5)
+        graph.add_edge(2, 6)
+        dirty = graph.consume_dirty()
+        structured.refresh_topology(graph, dirty)
+        dense.refresh_topology(graph, dirty)
+        assert structured.refresh_full == 0
+        loads = _loads_for(graph)
+        for t in range(1, 6):
+            compact = structured.sends_structured(loads, t)
+            window = compact.window
+            assert np.shares_memory(
+                window.gather.indices, window.reverse_flat
+            )
+            sends = dense.sends(loads, t)
+            # Self-loop tokens and the remainder stay put.
+            want = (
+                loads
+                - sends[:, : graph.degree].sum(axis=1)
+                + sends[graph.adjacency, graph.reverse_port].sum(axis=1)
+            )
+            loads = compact.apply(graph, loads)
+            np.testing.assert_array_equal(loads, want)
+
+    def test_full_refresh_rebuilds_a_shared_operator(self):
+        graph = self._mutable()
+        balancer = RotorRouter().bind(graph)
+        before = _window(balancer, graph).gather
+        balancer.refresh_topology(graph, None)
+        window = _window(balancer, graph)
+        assert window.gather is not before
+        assert np.shares_memory(window.gather.indices, window.reverse_flat)
+
+    def test_default_port_order_is_one_broadcast_row(self):
+        graph = families.cycle(12, num_self_loops=2)
+        window = _window(RotorRouter().bind(graph), graph)
+        assert window.positions.strides[0] == 0
+        orders = np.tile(np.arange(graph.total_degree), (12, 1))
+        custom = _window(RotorRouter(port_orders=orders).bind(graph), graph)
+        assert custom.positions.strides[0] != 0
+
+
+FABRICS = {
+    "fat_tree": lambda: fat_tree(4),
+    "leaf_spine": lambda: leaf_spine(4, 3, 4),
+}
+
+
+def _dense_inflow(graph, values):
+    """Each node's inflow of sender-side ``(n, d)`` per-port values."""
+    return values[graph.adjacency, graph.reverse_port].sum(axis=1)
+
+
+class TestRotorGatherOnFabrics:
+    """Pin the rotor gather on padded-irregular datacenter fabrics.
+
+    ``fat_tree`` and ``leaf_spine`` have irregular true degrees but a
+    uniform padded port capacity: every adjacency row has
+    ``graph.degree`` columns, with padding ports as self-entries whose
+    reverse port is the port itself.  The gather's scalar-step
+    ``indptr`` leans on exactly that invariant, so a ragged adjacency
+    must fail loudly instead of silently misrouting tokens.
+    """
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_fabric_padding_invariant(self, fabric):
+        graph = FABRICS[fabric]()
+        # Irregular fabric: not every node uses its full port capacity...
+        assert graph.true_degrees.min() < graph.degree
+        # ...yet adjacency is padded to uniform width with self-entry
+        # padding ports that reverse onto themselves.
+        assert graph.adjacency.shape == (graph.num_nodes, graph.degree)
+        pad = graph.adjacency == np.arange(graph.num_nodes)[:, None]
+        assert pad.any()
+        ports = np.broadcast_to(
+            np.arange(graph.degree), graph.adjacency.shape
+        )
+        np.testing.assert_array_equal(graph.reverse_port[pad], ports[pad])
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_gather_matches_dense_inflow(self, fabric):
+        graph = FABRICS[fabric]()
+        gather = RotorRouter().bind(graph)._gather
+        values = np.random.default_rng(3).integers(
+            0, 50, graph.adjacency.shape
+        )
+        np.testing.assert_array_equal(
+            gather @ values.ravel(), _dense_inflow(graph, values)
+        )
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_dirty_repair_on_fabric_rows(self, fabric):
+        # Drop a real (non-padding) edge, so the mutated rows gain
+        # padding ports, and require the in-place repaired operator to
+        # equal one built fresh on the mutated graph.
+        graph = MutableBalancingGraph.from_graph(FABRICS[fabric]())
+        balancer = RotorRouter().bind(graph)
+        u = int(np.argmax(graph.true_degrees))
+        graph.drop_edge(u, int(graph.adjacency[u, 0]))
+        dirty = graph.consume_dirty()
+        assert dirty.size
+        balancer.refresh_topology(graph, dirty)
+        assert balancer.refresh_full == 0
+        gather = balancer._gather
+        assert np.shares_memory(gather.indices, balancer._reverse_flat)
+        fresh = RotorRouter().bind(graph)._gather
+        np.testing.assert_array_equal(gather.indices, fresh.indices)
+        values = np.random.default_rng(29).integers(
+            0, 50, graph.adjacency.shape
+        )
+        np.testing.assert_array_equal(
+            gather @ values.ravel(), _dense_inflow(graph, values)
+        )
+
+    def test_gather_rejects_unpadded_adjacency(self):
+        class Ragged:
+            num_nodes = 4
+            degree = 3
+
+        with pytest.raises(ValueError, match="degree-padded"):
+            rotor_gather(Ragged(), np.zeros(4 * 2, dtype=np.int64))
 
 
 class TestRemainder:

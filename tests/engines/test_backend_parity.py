@@ -1,7 +1,7 @@
 """Cross-backend bit-identity: every registered engine == dense.
 
 The acceptance property of the engine registry: for every backend in
-``ENGINES`` (not just the built-in four — third-party registrations are
+``ENGINES`` (not just the built-in three — third-party registrations are
 picked up automatically), the load trajectory is bit-identical to the
 dense reference on every standard graph family, through every execution
 path (looped, batched, ``run_until``), and with probes, dynamics,
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import make
+from repro.algorithms.rotor_router import RotorRouter
 from repro.core.engine import Simulator
 from repro.core.probes import ProbeSpec
 from repro.dynamics import DynamicsSpec
@@ -241,3 +242,177 @@ def test_looped_run_until_parity(engine):
     assert (
         reference.discrepancy_history == candidate.discrepancy_history
     )
+
+
+# -- custom port orders ------------------------------------------------
+#
+# A custom rotor order keeps its own ``(n, d+)`` orders and positions
+# arrays, where the default order is one broadcast row; these pin the
+# non-broadcast path of every structured-protocol backend against the
+# dense ``put_along_axis`` scatter.
+
+STRUCTURED_ENGINES = [
+    engine
+    for engine in ALL_ENGINES
+    if create_engine(engine).protocol != DENSE
+]
+
+
+def _custom_rotor(graph, seed=41):
+    rng = np.random.default_rng(seed)
+    orders = np.stack(
+        [rng.permutation(graph.total_degree) for _ in range(graph.num_nodes)]
+    )
+    return RotorRouter(port_orders=orders)
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_custom_port_order_parity_with_probes_and_dynamics(family, engine):
+    graph = FAMILIES[family]()
+    loads = _initial(graph)
+
+    def run(backend):
+        return Simulator(
+            graph,
+            _custom_rotor(graph),
+            loads,
+            probes=(ProbeSpec("discrepancy"),),
+            dynamics=CHURN.build(),
+            engine=backend,
+        ).run(50)
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    assert reference.discrepancy_history == candidate.discrepancy_history
+    assert reference.record.summary == candidate.record.summary
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_custom_port_order_parity_under_faults(family, engine):
+    graph = FAMILIES[family]()
+    loads = _initial(graph, seed=17)
+    spec = FaultSpec("link_failures", {"rate": 0.3, "seed": 3})
+
+    def run(backend):
+        return Simulator(
+            graph,
+            _custom_rotor(graph),
+            loads,
+            faults=spec.build(),
+            engine=backend,
+        ).run(40)
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    assert reference.discrepancy_history == candidate.discrepancy_history
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_custom_port_order_parity_under_topology_churn(family, engine):
+    """Churn repairs reverse_flat in place under a custom order."""
+    graph = FAMILIES[family]()
+    loads = _initial(graph, seed=23)
+    spec = TopologySpec(
+        "edge_churn", {"rate": 0.12, "downtime": 4, "seed": 3}
+    )
+
+    def run(backend):
+        return Simulator(
+            graph,
+            _custom_rotor(graph),
+            loads,
+            topology=spec,
+            engine=backend,
+        ).run(40)
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    assert reference.discrepancy_history == candidate.discrepancy_history
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_custom_port_order_batched_parity(family, engine):
+    """A different custom order per replica, in one batched round."""
+    graph = FAMILIES[family]()
+    replicas = 3
+    initial = _initial(graph, replicas, seed=5)
+
+    def run(backend):
+        balancers = [
+            _custom_rotor(graph, seed=replica)
+            for replica in range(replicas)
+        ]
+        return BatchRunner(
+            graph, balancers, initial, dynamics=CHURN, engine=backend
+        ).run(40)
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    assert reference.histories == candidate.histories
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+def test_custom_port_order_batched_run_until_parity(engine):
+    graph = families.torus(4, 2)
+    replicas = 3
+    initial = _initial(graph, replicas, seed=11)
+    spec = DynamicsSpec("constant_rate", {"rate": 6, "seed": 2})
+
+    def run(backend):
+        return BatchRunner(
+            graph,
+            [_custom_rotor(graph, seed=r) for r in range(replicas)],
+            initial,
+            dynamics=spec,
+            engine=backend,
+        ).run_until(
+            [
+                lambda loads: int(loads.max() - loads.min()) <= 14
+                for _ in range(replicas)
+            ],
+            max_rounds=150,
+            check_every=2,
+        )
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    np.testing.assert_array_equal(
+        reference.rounds_executed, candidate.rounds_executed
+    )
+    assert reference.histories == candidate.histories
+
+
+@pytest.mark.parametrize("engine", STRUCTURED_ENGINES)
+def test_custom_port_order_looped_run_until_parity(engine):
+    graph = families.hypercube(4)
+    loads = _initial(graph, seed=29)
+
+    def run(backend):
+        return Simulator(
+            graph, _custom_rotor(graph), loads, engine=backend
+        ).run_until(
+            lambda vec: int(vec.max() - vec.min()) <= 6,
+            max_rounds=200,
+            check_every=3,
+        )
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    assert reference.rounds_executed == candidate.rounds_executed
+    assert reference.discrepancy_history == candidate.discrepancy_history

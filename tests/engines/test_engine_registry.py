@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import make
+from repro.cli import main as cli_main
 from repro.core.engine import Simulator
 from repro.core.monitors import LoadBoundsMonitor
 from repro.core.probes import SENDS, Probe
@@ -44,6 +45,16 @@ def _loads(graph, seed=7):
     return rng.integers(0, 200, graph.num_nodes).astype(np.int64)
 
 
+def _scenario(engine="auto"):
+    return Scenario(
+        graph=GraphSpec("cycle", {"n": 12}),
+        algorithm=AlgorithmSpec("rotor_router"),
+        loads=LoadSpec("uniform_random", {"total_tokens": 500, "seed": 1}),
+        stop=StopRule.fixed(8),
+        engine=engine,
+    )
+
+
 class DenseOnlyProbe(Probe):
     """A sends consumer without a structured hook (forces dense)."""
 
@@ -56,26 +67,25 @@ class DenseOnlyProbe(Probe):
 
 class TestRegistryContents:
     def test_builtin_backends_registered(self):
-        assert {"dense", "structured", "spmm", "compiled"} <= set(ENGINES)
+        assert set(ENGINES) == {"dense", "structured", "partitioned"}
 
     def test_auto_is_a_policy_not_a_backend(self):
         assert "auto" not in ENGINES
 
     def test_create_engine_yields_fresh_instances(self):
-        a = create_engine("spmm")
-        b = create_engine("spmm")
+        a = create_engine("structured")
+        b = create_engine("structured")
         assert a is not b
-        assert a.name == "spmm"
+        assert a.name == "structured"
 
     def test_protocols_and_kernels(self):
         assert create_engine("dense").protocol == DENSE
         assert create_engine("dense").kernel == "numpy"
         assert create_engine("structured").protocol == STRUCTURED
-        assert create_engine("spmm").protocol == DENSE
-        assert create_engine("spmm").kernel == "csr"
-        compiled = create_engine("compiled")
-        assert compiled.protocol == STRUCTURED
-        assert compiled.kernel == "csr"
+        assert create_engine("structured").kernel == "numpy"
+        partitioned = create_engine("partitioned")
+        assert partitioned.protocol == STRUCTURED
+        assert partitioned.kernel == "shm"
 
     def test_engine_names_sorted(self):
         assert list(engine_names()) == sorted(engine_names())
@@ -111,17 +121,47 @@ class TestUnknownEngine:
 
     def test_error_lists_registered_names(self):
         graph = _graph()
-        with pytest.raises(ValueError, match="compiled.*spmm"):
+        with pytest.raises(
+            ValueError, match="dense, partitioned, structured"
+        ):
             Simulator(
                 graph, make("send_floor"), _loads(graph), engine="nope"
             )
+
+    @pytest.mark.parametrize("name", ["compiled", "spmm"])
+    @pytest.mark.parametrize(
+        "surface", ["simulator", "batch_runner", "scenario", "cli"]
+    )
+    def test_removed_backends_are_unknown(self, surface, name):
+        """The deleted backends get the plain unknown-engine error."""
+        graph = _graph()
+        loads = _loads(graph)
+        match = (
+            f"unknown engine {name!r}.*dense, partitioned, structured"
+        )
+        with pytest.raises(ValueError, match=match):
+            if surface == "simulator":
+                Simulator(graph, make("rotor_router"), loads, engine=name)
+            elif surface == "batch_runner":
+                BatchRunner(
+                    graph,
+                    make("send_floor"),
+                    np.tile(loads, (2, 1)),
+                    engine=name,
+                )
+            elif surface == "scenario":
+                Scenario.from_dict(
+                    {**_scenario().to_dict(), "engine": name}
+                )
+            else:
+                argv = "simulate rotor_router --family cycle --n 12"
+                cli_main(argv.split() + ["--engine", name])
 
 
 class TestProtocolConstraints:
     """Structured-protocol backends inherit the structured constraints."""
 
-    @pytest.mark.parametrize("engine", ["structured", "compiled"])
-    def test_dense_only_balancer_rejected(self, engine):
+    def test_dense_only_balancer_rejected(self):
         graph = _graph()
         with pytest.raises(
             ValueError, match="does not implement structured sends"
@@ -130,23 +170,22 @@ class TestProtocolConstraints:
                 graph,
                 make("arbitrary_rounding_fixed"),
                 _loads(graph),
-                engine=engine,
+                engine="structured",
             )
 
-    @pytest.mark.parametrize("engine", ["dense", "spmm"])
-    def test_dense_protocol_backends_take_any_balancer(self, engine):
+    def test_dense_protocol_backends_take_any_balancer(self):
         graph = _graph()
         result = Simulator(
             graph,
             make("arbitrary_rounding_fixed"),
             _loads(graph),
             probes=[LoadBoundsMonitor()],
-            engine=engine,
+            engine="dense",
         ).run(10)
         assert result.rounds_executed == 10
 
     def test_auto_ignores_optional_backends(self):
-        """Auto picks dense/structured only — never spmm/compiled."""
+        """Auto picks dense/structured only — never partitioned."""
         graph = _graph()
         loads = _loads(graph)
         assert (
@@ -171,10 +210,10 @@ class TestAttachMidRun:
         assert sim.engine == "dense"
         sim.run(5)
 
-    def test_explicit_compiled_refuses_dense_probe(self):
+    def test_explicit_structured_refuses_dense_probe(self):
         graph = _graph()
         sim = Simulator(
-            graph, make("rotor_router"), _loads(graph), engine="compiled"
+            graph, make("rotor_router"), _loads(graph), engine="structured"
         )
         sim.run(5)
         with pytest.raises(ValueError, match="explicitly requested"):
@@ -182,45 +221,34 @@ class TestAttachMidRun:
 
 
 class TestScenarioSerialization:
-    def _scenario(self, engine="auto"):
-        return Scenario(
-            graph=GraphSpec("cycle", {"n": 12}),
-            algorithm=AlgorithmSpec("rotor_router"),
-            loads=LoadSpec(
-                "uniform_random", {"total_tokens": 500, "seed": 1}
-            ),
-            stop=StopRule.fixed(8),
-            engine=engine,
-        )
-
     def test_auto_engine_omitted_from_dict(self):
         """Cache-key stability: auto scenarios hash as before the field."""
-        assert "engine" not in self._scenario().to_dict()
+        assert "engine" not in _scenario().to_dict()
 
     def test_auto_hash_matches_pre_engine_scenarios(self):
         assert (
-            self._scenario().content_hash()
-            == self._scenario("auto").content_hash()
+            _scenario().content_hash()
+            == _scenario("auto").content_hash()
         )
 
     def test_explicit_engine_round_trips(self):
-        scenario = self._scenario("spmm")
+        scenario = _scenario("structured")
         data = scenario.to_dict()
-        assert data["engine"] == "spmm"
+        assert data["engine"] == "structured"
         restored = Scenario.from_dict(data)
-        assert restored.engine == "spmm"
+        assert restored.engine == "structured"
         assert restored.content_hash() == scenario.content_hash()
 
     def test_engine_changes_content_hash(self):
         assert (
-            self._scenario("spmm").content_hash()
-            != self._scenario().content_hash()
+            _scenario("structured").content_hash()
+            != _scenario().content_hash()
         )
 
     @pytest.mark.parametrize("executor", ["loop", "batch"])
     def test_scenario_runs_named_engine(self, executor):
-        scenario = self._scenario("compiled")
-        reference = self._scenario("dense")
+        scenario = _scenario("structured")
+        reference = _scenario("dense")
         got = scenario.run(executor=executor)
         want = reference.run(executor=executor)
         np.testing.assert_array_equal(

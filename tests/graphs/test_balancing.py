@@ -195,41 +195,19 @@ class TestMemoryEstimate:
         # cycle + 2 self-loops: d = 2, d+ = 4 (the paper's d+ = 2d).
         return families.cycle(n, num_self_loops=2)
 
-    def test_spmm_term_matches_operator_nbytes(self):
-        from repro.engines.spmm import _GatherOperator
+    def test_rotor_gather_term_matches_operator_nbytes(self):
+        from repro.algorithms.rotor_router import RotorRouter
         from repro.graphs.balancing import estimate_memory_bytes
 
         graph = self._graph()
-        matrix = _GatherOperator(graph).matrix
-        measured = (
-            matrix.data.nbytes
-            + matrix.indices.nbytes
-            + matrix.indptr.nbytes
-        )
-        n, d_plus = graph.num_nodes, graph.total_degree
+        gather = RotorRouter().bind(graph)._gather
+        # The indices are reverse_flat itself: only data and indptr are
+        # memory the operator adds.
+        measured = gather.data.nbytes + gather.indptr.nbytes
+        n, d = graph.num_nodes, graph.degree
         estimated = estimate_memory_bytes(
-            n, d_plus, engine="spmm", degree=graph.degree
-        ) - estimate_memory_bytes(n, d_plus, engine="dense")
-        assert estimated == measured
-
-    def test_compiled_term_matches_operator_nbytes(self):
-        from repro.engines.compiled import _RotorOperator
-        from repro.graphs.balancing import estimate_memory_bytes
-
-        graph = self._graph()
-        ops = _RotorOperator(graph)
-        measured = (
-            ops.matrix.data.nbytes
-            + ops.matrix.indices.nbytes
-            + ops.matrix.indptr.nbytes
-            + ops.offsets.nbytes
-            + ops.hits.nbytes
-            + ops.values.nbytes
-        )
-        n, d_plus = graph.num_nodes, graph.total_degree
-        estimated = estimate_memory_bytes(
-            n, d_plus, engine="compiled", degree=graph.degree
-        ) - estimate_memory_bytes(n, d_plus, engine="structured")
+            n, graph.total_degree, engine="structured", degree=d
+        ) - 8 * n * (6 + d)
         assert estimated == measured
 
     def test_partitioned_term_matches_state_nbytes(self):
@@ -265,16 +243,3 @@ class TestMemoryEstimate:
         # Contiguous cycle partitions: no ghost slots beyond the four
         # round shm blocks the formula budgets on top of the arrays.
         assert estimated == measured + 8 * 4 * n
-
-    def test_index_width_switches_past_int32(self):
-        from repro.graphs.balancing import estimate_memory_bytes
-
-        small = estimate_memory_bytes(10**6, 4, engine="spmm")
-        # Past the int32 flat-column ceiling the index arrays double.
-        huge_n = 2**31
-        wide = estimate_memory_bytes(huge_n, 4, engine="spmm")
-        dense_small = estimate_memory_bytes(10**6, 4, engine="dense")
-        dense_wide = estimate_memory_bytes(huge_n, 4, engine="dense")
-        per_node_small = (small - dense_small) / 10**6
-        per_node_wide = (wide - dense_wide) / huge_n
-        assert per_node_wide > per_node_small
