@@ -27,6 +27,7 @@ from repro.core.structured import (
     RotorWindow,
     StructuredRound,
     rotor_gather,
+    window_tables,
 )
 from repro.graphs.balancing import BalancingGraph
 
@@ -85,6 +86,7 @@ class RotorRouter(Balancer):
         self._rotors: np.ndarray | None = None
         self._reverse_flat: np.ndarray | None = None
         self._gather = None
+        self._tables = None
         self.refresh_rows = 0
         self.refresh_full = 0
 
@@ -118,8 +120,10 @@ class RotorRouter(Balancer):
         # Structured-execution precomputes: positions is the inverse
         # permutation of the port order (cyclic position of each port);
         # reverse_flat and its CSR gather carry the sender-side (n, d)
-        # per-port values to the receiver side (see RotorWindow).  All
+        # per-port values to the receiver side; the window tables turn
+        # per-node window queries into lookups (see RotorWindow).  All
         # are static per bind and shared by every round's RotorWindow.
+        self._tables = None
         if self._custom_orders is not None:
             self._orders = np.asarray(self._custom_orders, dtype=np.int64)
             self._positions = np.argsort(self._orders, axis=1)
@@ -130,8 +134,12 @@ class RotorRouter(Balancer):
                 graph.degree, graph.num_self_loops
             )
             shape = (graph.num_nodes, d_plus)
+            position_row = np.argsort(row)
             self._orders = np.broadcast_to(row, shape)
-            self._positions = np.broadcast_to(np.argsort(row), shape)
+            self._positions = np.broadcast_to(position_row, shape)
+            # d+² table rows never outgrow the (n, d) hit matrix.
+            if d_plus * d_plus <= graph.num_nodes:
+                self._tables = window_tables(position_row, graph.degree)
         self._position_window = np.arange(d_plus)[None, :]
         self._reverse_flat = (
             graph.adjacency * graph.degree + graph.reverse_port
@@ -141,12 +149,14 @@ class RotorRouter(Balancer):
     def refresh_topology(self, graph: BalancingGraph, dirty=None) -> None:
         """Repair ``reverse_flat`` for the mutated rows only.
 
-        ``_orders``/``_positions``/``_position_window`` depend only on
-        ``(n, d+)`` — unchanged under in-place churn — and the rotors
-        deliberately keep their positions, so the receiver-side gather
-        index is the only structure that goes stale.  It is also the
-        gather operator's ``indices``, so the in-place repair keeps the
-        operator current.  Repair cost is O(|dirty| * d), independent
+        ``_orders``/``_positions``/``_position_window``/``_tables``
+        depend only on ``(n, d, d+)`` — unchanged under in-place churn —
+        and the rotors deliberately keep their positions, so the
+        receiver-side gather index is the only structure that goes
+        stale.  It is also the gather operator's ``indices``, so the
+        in-place repair keeps the operator current (its ``data`` and
+        ``indptr`` are the graph's inflow operator's, which churn
+        leaves as they are).  Repair cost is O(|dirty| * d), independent
         of ``n``; the counters back the incrementality regression test.
         """
         self._graph = graph
@@ -209,15 +219,20 @@ class RotorRouter(Balancer):
                 "rotor-router is stateful; structured sends take one "
                 "(n,) load vector per instance"
             )
-        quotient, extra = np.divmod(loads, d_plus)
+        quotient = loads // d_plus
+        extra = loads - quotient * d_plus
         window = RotorWindow(
             rotors=self._rotors,
             extra=extra,
             positions=self._positions,
             reverse_flat=self._reverse_flat,
             gather=self._gather,
+            tables=self._tables,
         )
-        self._rotors = (self._rotors + extra) % d_plus
+        # rotors + extra < 2·d+: one conditional subtract wraps it.
+        rotors = self._rotors + extra
+        rotors -= d_plus * (rotors >= d_plus)
+        self._rotors = rotors
         return StructuredRound(
             edge_share=quotient,
             loop_base=quotient if graph.num_self_loops else None,

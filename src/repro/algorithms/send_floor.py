@@ -79,7 +79,8 @@ class SendFloor(Balancer):
         if num_loops == 0:
             return StructuredRound(edge_share=quotient)
         extras = loads - d_plus * quotient
-        per_loop, leftover = np.divmod(extras, num_loops)
+        per_loop = extras // num_loops
+        leftover = extras - per_loop * num_loops
         return StructuredRound(
             edge_share=quotient,
             loop_base=quotient + per_loop,

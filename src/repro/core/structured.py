@@ -23,19 +23,69 @@ ride this path; see :mod:`repro.core.probes`), and
 :meth:`StructuredRound.to_dense` reconstructs the exact sends matrix
 for parity tests.
 
+Execution is shaped so that no hot operation reduces or broadcasts
+over a short ``d``-length port axis (numpy pays 5-20x the flat-vector
+cost for those):
+
+* the uniform share moves through one ``(n, n)`` CSR inflow operator
+  per graph (:func:`inflow_gather`) whose ``indices`` *are* the
+  graph's raveled adjacency; a rotor round moves share plus window
+  hits through :func:`rotor_gather`, whose ``indices`` *are* the
+  balancer's ``reverse_flat`` and whose ``data``/``indptr`` *are* the
+  inflow operator's.  In-place churn repair of ``adjacency`` and
+  ``reverse_flat`` therefore keeps both operators current (the alias
+  invariant; see :class:`RotorWindow`);
+* a rotor window's per-node quantities come from per-state lookup
+  tables (:class:`WindowTables`) indexed by ``state = rotors·d+ +
+  extra`` whenever every node shares one port order and ``d+² <= n``;
+  otherwise from the ``(positions - rotors) % d+`` formula.
+
 All arrays are integer; the structured execution is bit-identical to
 the dense engine (enforced by the property suite).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.errors import InvalidSendMatrix
 from repro.graphs.balancing import BalancingGraph
+
+
+# Keyed by the graph object, not id(graph): a freed graph's id can be
+# reused by a new graph, which must never inherit its operator.
+_INFLOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def inflow_gather(graph: BalancingGraph) -> sp.csr_matrix:
+    """The graph's ``(n, n)`` CSR inflow operator, cached per graph.
+
+    Row ``u`` holds a one at each neighbor ``adjacency[u, j]``, so
+    ``inflow @ share`` is ``Σ_{v ~ u} share(v)`` for every node in one
+    sparse matvec (a degree-padded row's self-entries count ``u``
+    itself, exactly as a padding port does in the dense gather).  Data
+    is all-ones int64 and ``indptr = arange(0, n·d + 1, d)``; the
+    ``indices`` *are* ``graph.adjacency.reshape(-1)`` — the same int64
+    memory — so a :class:`~repro.graphs.mutable.MutableBalancingGraph`
+    editing its adjacency in place keeps the operator current for free.
+    """
+    inflow = _INFLOW.get(graph)
+    if inflow is None:
+        n, degree = graph.adjacency.shape
+        inflow = sp.csr_matrix((n, n), dtype=np.int64)
+        inflow.data = np.ones(n * degree, dtype=np.int64)
+        inflow.indptr = np.arange(
+            0, n * degree + 1, degree, dtype=np.int64
+        )
+        inflow.indices = graph.adjacency.reshape(-1)
+        _INFLOW[graph] = inflow
+    return inflow
 
 
 def rotor_gather(
@@ -46,10 +96,12 @@ def rotor_gather(
     Row ``u`` holds a one at each of its ``d`` reverse-edge slots
     ``reverse_flat[u·d : (u+1)·d]``.  The arrays are assigned after
     construction so that ``indices`` *is* ``reverse_flat`` (int64, no
-    scipy int32 downcast copy) and ``indptr`` matches its dtype, which
-    keeps the matvec copy-free; see :class:`RotorWindow` for the alias
-    invariant this buys.  The scalar-step ``indptr`` needs every row
-    padded to exactly ``graph.degree`` edge ports.
+    scipy int32 downcast copy), while ``data`` and ``indptr`` *are*
+    those of the graph's :func:`inflow_gather` operator (same row
+    layout), so the rotor adds no operator memory of its own; see
+    :class:`RotorWindow` for the alias invariant this buys.  The
+    scalar-step ``indptr`` needs every row padded to exactly
+    ``graph.degree`` edge ports.
     """
     size = reverse_flat.size
     if size != graph.num_nodes * graph.degree:
@@ -57,11 +109,43 @@ def rotor_gather(
             f"rotor gather needs a degree-padded adjacency: {size} edge "
             f"ports for {graph.num_nodes} nodes of degree {graph.degree}"
         )
+    inflow = inflow_gather(graph)
     gather = sp.csr_matrix((graph.num_nodes, size), dtype=np.int64)
-    gather.data = np.ones(size, dtype=np.int64)
-    gather.indptr = np.arange(0, size + 1, graph.degree, dtype=np.int64)
+    gather.data = inflow.data
+    gather.indptr = inflow.indptr
     gather.indices = reverse_flat
     return gather
+
+
+class WindowTables(NamedTuple):
+    """Rotor window lookups for every ``state = rotor·d+ + extra``.
+
+    Built once per bind for a port order shared by every node (the
+    default broadcast order): row ``state`` describes the window
+    ``[rotor, rotor + extra)`` over that order.  ``d+²`` rows, so the
+    ``d+² <= n`` rule the rotor router applies keeps each table no
+    larger than the per-node array a lookup replaces.
+    """
+
+    hits: np.ndarray  # (d+², d) bool: original-edge port in window
+    edge_hits: np.ndarray  # (d+²,) int64: row sums of ``hits``
+    loop_hits: np.ndarray  # (d+²,) int64: self-loop ports in window
+
+
+def window_tables(position_row: np.ndarray, degree: int) -> WindowTables:
+    """The :class:`WindowTables` of one port order's position row.
+
+    ``position_row[p]`` is the cyclic position of port ``p``; ports
+    ``< degree`` are original edges, the rest self-loops.
+    """
+    d_plus = position_row.size
+    rotor, extra = np.divmod(np.arange(d_plus * d_plus), d_plus)
+    inside = (position_row - rotor[:, None]) % d_plus < extra[:, None]
+    return WindowTables(
+        hits=np.ascontiguousarray(inside[:, :degree]),
+        edge_hits=inside[:, :degree].sum(axis=1, dtype=np.int64),
+        loop_hits=inside[:, degree:].sum(axis=1, dtype=np.int64),
+    )
 
 
 @dataclass
@@ -73,15 +157,24 @@ class RotorWindow:
     ``[rotors[u], rotors[u] + extra[u])`` taken modulo ``d+``.
 
     A window describes exactly one round (fresh ``rotors``/``extra``
-    every round), so the derived hit matrices are computed at most once
-    per instance and cached — ``edge_hit_matrix``/``edge_hits``/
-    ``loop_hits`` used to redo the ``(positions - rotors) % d+`` modulo
-    work on every call, up to three times per round across the engine,
-    probe, and fault paths.  Callers must not mutate ``rotors``/
-    ``extra`` after the first query.
+    every round), so the derived quantities are computed at most once
+    per instance and cached — the engine, probe and fault paths can
+    each ask for them in the same round.  Callers must not mutate
+    ``rotors``/``extra`` after the first query.
 
-    ``positions``, ``reverse_flat`` and ``gather`` are static per-bind
-    precomputes owned by the balancer (shared across rounds):
+    Two ways to answer a query, bit-identical by construction:
+
+    * with ``tables`` (a :class:`WindowTables`; default port order and
+      ``d+² <= n``): :attr:`state` ``= rotors·d+ + extra`` is computed
+      once, and ``edge_hit_matrix``/``edge_hits``/``loop_hits`` are
+      ``np.take`` lookups — one flat O(n) gather each, no modulo and no
+      reduction over the short port axis;
+    * without (custom port orders, or ``d+² > n``): the
+      ``(positions - rotors) % d+ < extra`` formula over ``(n, d)``.
+
+    ``positions``, ``reverse_flat``, ``gather`` and ``tables`` are
+    static per-bind precomputes owned by the balancer (shared across
+    rounds):
 
     * ``positions[u, p]`` — cyclic position of port ``p`` in node
       ``u``'s rotor order (the inverse permutation of the port order);
@@ -93,10 +186,13 @@ class RotorWindow:
       per-port value matrix it yields each node's inflow, so one
       quotient-plus-hit matrix serves both sides of the round.
 
-    Alias invariant: ``gather.indices`` *is* ``reverse_flat`` (the same
-    int64 memory), so repairing ``reverse_flat`` in place under churn
-    repairs the operator too.  Never rebind ``reverse_flat`` without
-    rebuilding ``gather``.
+    Alias invariant: ``gather.indices`` *is* ``reverse_flat`` and
+    ``gather.data``/``gather.indptr`` *are* those of the graph's
+    :func:`inflow_gather` operator, whose ``indices`` are the graph's
+    ``adjacency`` — one int64 memory each.  Repairing ``adjacency`` and
+    ``reverse_flat`` in place under churn therefore repairs both
+    operators.  Never rebind ``reverse_flat`` without rebuilding
+    ``gather``.
     """
 
     rotors: np.ndarray
@@ -104,6 +200,7 @@ class RotorWindow:
     positions: np.ndarray
     reverse_flat: np.ndarray
     gather: sp.csr_matrix
+    tables: WindowTables | None = None
     _edge_hit_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
@@ -111,31 +208,49 @@ class RotorWindow:
         default=None, repr=False, compare=False
     )
 
+    @cached_property
+    def state(self) -> np.ndarray:
+        """Each node's table row, ``rotors·d+ + extra``."""
+        return self.rotors * self.positions.shape[1] + self.extra
+
     def edge_hit_matrix(self, graph: BalancingGraph) -> np.ndarray:
         """``(n, d)`` bool: does port ``j`` of ``u`` get a window token?"""
         if self._edge_hit_cache is None:
-            d_plus = graph.total_degree
-            offsets = (
-                self.positions[:, : graph.degree] - self.rotors[:, None]
-            ) % d_plus
-            self._edge_hit_cache = offsets < self.extra[:, None]
+            if self.tables is not None:
+                self._edge_hit_cache = np.take(
+                    self.tables.hits, self.state, axis=0
+                )
+            else:
+                self._edge_hit_cache = self._inside(
+                    graph, slice(None, graph.degree)
+                )
         return self._edge_hit_cache
 
     def edge_hits(self, graph: BalancingGraph) -> np.ndarray:
         """Per-node count of original-edge ports inside the window."""
+        if self.tables is not None:
+            return np.take(self.tables.edge_hits, self.state)
         return self.edge_hit_matrix(graph).sum(axis=1)
 
     def loop_hits(self, graph: BalancingGraph) -> np.ndarray:
         """Per-node count of self-loop ports inside the window."""
         if self._loop_hit_cache is None:
-            d_plus = graph.total_degree
-            offsets = (
-                self.positions[:, graph.degree:] - self.rotors[:, None]
-            ) % d_plus
-            self._loop_hit_cache = (
-                (offsets < self.extra[:, None]).sum(axis=1)
-            )
+            if self.tables is not None:
+                self._loop_hit_cache = np.take(
+                    self.tables.loop_hits, self.state
+                )
+            else:
+                self._loop_hit_cache = self._inside(
+                    graph, slice(graph.degree, None)
+                ).sum(axis=1)
         return self._loop_hit_cache
+
+    def _inside(self, graph: BalancingGraph, ports: slice) -> np.ndarray:
+        """The modulo formula: which of ``ports`` lie in the window."""
+        offsets = (
+            self.positions[:, ports] - self.rotors[:, None]
+        ) % graph.total_degree
+        return offsets < self.extra[:, None]
 
 
 @dataclass
@@ -209,18 +324,33 @@ class StructuredRound:
         Self-loop tokens and the remainder both stay at the node, so
         only the edge flows move:
         ``new = loads - edge_outflow + share-gather (+ window hits)``.
-        A rotor round gathers quotient and window hit in one CSR
-        matvec over the sender-side per-port values.
+        A windowless round gathers the share through the graph's
+        :func:`inflow_gather` operator (one matvec per replica stack);
+        a rotor round gathers quotient and window hit in one CSR
+        matvec over the sender-side per-port values.  Neither reduces
+        over the short port axis.
         """
         share = self.edge_share
         window = self.window
         if window is None:
-            incoming = np.take(share, graph.adjacency, axis=-1).sum(axis=-1)
+            inflow = inflow_gather(graph)
+            if share.ndim == 1:
+                incoming = inflow @ share
+            else:
+                incoming = (inflow @ share.T).T
             return loads - graph.degree * share + incoming
-        hits = window.edge_hit_matrix(graph)
-        outgoing = graph.degree * share + hits.sum(axis=1)
-        incoming = window.gather @ (share[:, None] + hits).ravel()
-        return loads - outgoing + incoming
+        # Sender-side per-port values, built flat: the share repeated
+        # over each node's d edge ports plus the window hit.
+        values = np.repeat(share, graph.degree)
+        values += window.edge_hit_matrix(graph).reshape(-1)
+        new = window.gather @ values
+        del values
+        # In place on the fresh matvec result: one n-vector temporary
+        # at a time (int64 sums are exact in any order).
+        new -= graph.degree * share
+        new -= window.edge_hits(graph)
+        new += loads
+        return new
 
     # -- validation (compact form; no dense allocation) -----------------
 

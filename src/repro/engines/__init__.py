@@ -12,8 +12,8 @@ modules for the three shipped backends:
 name                    protocol    kernel
 ======================  ==========  ========================================
 ``dense``               dense       numpy gather (universal fallback)
-``structured``          structured  numpy matrix-free, rotor rounds as
-                                    one CSR gather (auto fast path)
+``structured``          structured  numpy matrix-free, every round one
+                                    CSR gather (auto fast path)
 ``partitioned``         structured  k partitions x worker processes + shm
 ======================  ==========  ========================================
 

@@ -388,10 +388,13 @@ def estimate_memory_bytes(
     **structured** engine (``sends_structured``; see
     :mod:`repro.core.structured`) never builds the matrix: a round is a
     per-node share vector, an O(n·d) adjacency gather, and O(n)
-    validation — roughly six length-``n`` int64 vectors plus one
-    ``(n, d)`` gather temporary, where ``d`` is the *original* degree
-    (pass ``degree=``; defaults to ``d+/2``, the paper's standard
-    ``d+ = 2d`` augmentation).
+    validation — roughly six length-``n`` int64 vectors.  The share
+    gather is one sparse matvec through the graph's CSR inflow operator
+    with no ``(n, d)`` temporary (a rotor round's flat ``n·d`` per-port
+    value vector is left out of this rough model); the operator's size
+    scales with ``d``, the *original* degree (pass ``degree=``;
+    defaults to ``d+/2``, the paper's standard ``d+ = 2d``
+    augmentation).
 
     Measured on the E13 ladder (cycle, ``d+ = 2d``, 50-round runs; see
     ``BENCH_e13.json``): the structured engine wins ~3-4x at
@@ -403,14 +406,17 @@ def estimate_memory_bytes(
     below ``n ≈ 10^3`` and strictly faster from there up, which is why
     ``engine="auto"`` prefers it whenever the balancer supports it.
 
-    A bound rotor router holds the CSR gather operator the structured
-    engine runs its rounds through (see
-    :func:`~repro.core.structured.rotor_gather`): ``n·d`` all-ones int64
-    data entries plus the ``(n + 1)`` int64 ``indptr``.  Its ``indices``
-    are the balancer's ``reverse_flat`` array itself, so they cost
-    nothing extra.  The operator is built at bind whichever engine runs
-    the rounds, so every estimate counts it (SEND-style balancers hold
-    none; for them the term is slack).
+    Each graph holds one CSR inflow operator (see
+    :func:`~repro.core.structured.inflow_gather`), counted once:
+    ``n·d`` all-ones int64 data entries plus the ``(n + 1)`` int64
+    ``indptr``.  Its ``indices`` are the graph's adjacency itself, and
+    a bound rotor router's gather
+    (:func:`~repro.core.structured.rotor_gather`) borrows its ``data``
+    and ``indptr`` and indexes the balancer's ``reverse_flat``, so
+    neither costs anything extra.  A rotor router builds the operator
+    at bind whichever engine runs the rounds, so every estimate counts
+    it (a SEND-style balancer on the dense engine builds none; for it
+    the term is slack).
 
     The **partitioned** backend adds per-graph state on top of the
     structured estimate: the per-partition remapped adjacency and the
@@ -426,9 +432,9 @@ def estimate_memory_bytes(
     """
     if degree is None:
         degree = max(1, d_plus // 2)
-    rotor_gather = 8 * n * degree + 8 * (n + 1)  # data + indptr
-    structured = 8 * n * (6 + degree) + rotor_gather
-    dense = 8 * n * d_plus + 8 * 4 * n + rotor_gather
+    inflow = 8 * n * degree + 8 * (n + 1)  # data + indptr
+    structured = 8 * n * 6 + inflow
+    dense = 8 * n * d_plus + 8 * 4 * n + inflow
     if engine == "dense":
         return dense
     if engine == "structured":

@@ -8,7 +8,12 @@ from repro.algorithms.rotor_router import RotorRouter
 from repro.algorithms.send_floor import SendFloor
 from repro.core.engine import Simulator
 from repro.core.errors import InvalidSendMatrix, NegativeLoadError
-from repro.core.structured import StructuredRound, rotor_gather
+from repro.core.structured import (
+    RotorWindow,
+    StructuredRound,
+    inflow_gather,
+    rotor_gather,
+)
 from repro.graphs import MutableBalancingGraph, families
 from repro.graphs.datacenter import fat_tree, leaf_spine
 
@@ -138,6 +143,146 @@ class TestRotorGatherAlias:
         orders = np.tile(np.arange(graph.total_degree), (12, 1))
         custom = _window(RotorRouter(port_orders=orders).bind(graph), graph)
         assert custom.positions.strides[0] != 0
+
+
+class TestInflowGather:
+    """The per-graph inflow operator and its aliases.
+
+    Its ``indices`` *are* the graph's adjacency, and the rotor gather
+    borrows its ``data``/``indptr``; in-place churn must keep both
+    operators current without a rebuild.
+    """
+
+    def _churned(self):
+        graph = MutableBalancingGraph.from_graph(
+            families.cycle(12, num_self_loops=2)
+        )
+        return graph, inflow_gather(graph)
+
+    def _churn(self, graph):
+        graph.drop_edge(1, 2)
+        graph.drop_edge(5, 6)
+        graph.add_edge(1, 5)
+        graph.add_edge(2, 6)
+        return graph.consume_dirty()
+
+    def test_indices_alias_adjacency_after_drop_and_add(self):
+        graph, inflow = self._churned()
+        assert np.shares_memory(inflow.indices, graph.adjacency)
+        self._churn(graph)
+        assert inflow_gather(graph) is inflow
+        assert np.shares_memory(inflow.indices, graph.adjacency)
+        share = _loads_for(graph, seed=11)
+        np.testing.assert_array_equal(
+            inflow @ share, np.take(share, graph.adjacency).sum(axis=1)
+        )
+
+    def test_one_operator_per_graph(self):
+        first = families.cycle(12)
+        second = families.cycle(12)
+        assert inflow_gather(first) is inflow_gather(first)
+        assert inflow_gather(first) is not inflow_gather(second)
+
+    def test_rotor_gather_shares_data_and_indptr(self):
+        graph, inflow = self._churned()
+        gather = RotorRouter().bind(graph)._gather
+        assert np.shares_memory(gather.data, inflow.data)
+        assert np.shares_memory(gather.indptr, inflow.indptr)
+        assert not np.shares_memory(gather.indices, inflow.indices)
+
+    @pytest.mark.parametrize("algorithm", ["send_floor", "send_rounded"])
+    def test_send_structured_matches_dense_after_churn(self, algorithm):
+        graph, _ = self._churned()
+        structured = make(algorithm).bind(graph)
+        dense = make(algorithm).bind(graph)
+        single = _loads_for(graph)
+        stacked = np.stack([single, _loads_for(graph, seed=8)])
+        for t in range(1, 7):
+            if t == 3:
+                dirty = self._churn(graph)
+                structured.refresh_topology(graph, dirty)
+                dense.refresh_topology(graph, dirty)
+            advanced = []
+            for loads in (single, stacked):
+                sends = dense.sends(loads, t)
+                want = (
+                    loads
+                    - sends[..., : graph.degree].sum(axis=-1)
+                    + sends[..., graph.adjacency, graph.reverse_port].sum(
+                        axis=-1
+                    )
+                )
+                got = structured.sends_structured(loads, t).apply(
+                    graph, loads
+                )
+                np.testing.assert_array_equal(got, want)
+                advanced.append(got)
+            single, stacked = advanced
+
+
+# Default-order graphs with d+² <= n, so the rotor builds its window
+# tables: d° = d, the Theorem 4.3 setting d° = 0, and a padded fabric.
+TABLE_GRAPHS = {
+    "cycle": lambda: families.cycle(32),
+    "hypercube_no_loops": lambda: families.hypercube(5, num_self_loops=0),
+    "fat_tree": lambda: fat_tree(16),
+}
+
+
+class TestRotorWindowTables:
+    """Per-state lookups equal the ``(positions - rotors) % d+`` formula."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+    def test_every_state_matches_modulo_formula(self, name):
+        graph = TABLE_GRAPHS[name]()
+        d_plus = graph.total_degree
+        degree = graph.degree
+        bound = _window(RotorRouter().bind(graph), graph)
+        assert bound.tables is not None
+        assert bound.tables.hits.shape == (d_plus * d_plus, degree)
+        assert bound.tables.hits.dtype == bool
+        # n >= d+², so tiling the states over the nodes hits each one.
+        state = np.arange(graph.num_nodes) % (d_plus * d_plus)
+        rotors, extra = np.divmod(state, d_plus)
+        window = RotorWindow(
+            rotors=rotors,
+            extra=extra,
+            positions=bound.positions,
+            reverse_flat=bound.reverse_flat,
+            gather=bound.gather,
+            tables=bound.tables,
+        )
+        np.testing.assert_array_equal(window.state, state)
+        inside = (
+            (bound.positions - rotors[:, None]) % d_plus < extra[:, None]
+        )
+        np.testing.assert_array_equal(
+            window.edge_hit_matrix(graph), inside[:, :degree]
+        )
+        np.testing.assert_array_equal(
+            window.edge_hits(graph), inside[:, :degree].sum(axis=1)
+        )
+        np.testing.assert_array_equal(
+            window.loop_hits(graph), inside[:, degree:].sum(axis=1)
+        )
+
+    def test_custom_port_orders_keep_positions_path(self):
+        graph = families.cycle(32)
+        orders = np.tile(np.arange(graph.total_degree), (32, 1))
+        window = _window(RotorRouter(port_orders=orders).bind(graph), graph)
+        assert window.tables is None
+
+    def test_wide_default_order_takes_positions_path(self):
+        graph = families.complete(8)
+        assert graph.total_degree ** 2 > graph.num_nodes
+        assert _window(RotorRouter().bind(graph), graph).tables is None
+        loads = _loads_for(graph)
+        structured = Simulator(
+            graph, RotorRouter(), loads, engine="structured"
+        )
+        dense = Simulator(graph, RotorRouter(), loads, engine="dense")
+        for _ in range(20):
+            np.testing.assert_array_equal(structured.step(), dense.step())
 
 
 FABRICS = {

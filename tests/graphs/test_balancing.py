@@ -171,7 +171,7 @@ class TestMemoryEstimate:
             assert estimate_memory_bytes(
                 1000, d_plus, engine="dense"
             ) > estimate_memory_bytes(1000, d_plus, engine="structured")
-        # Gather temporary scales with the original degree, not d+.
+        # The inflow operator scales with the original degree, not d+.
         assert estimate_memory_bytes(
             1000, 64, engine="structured", degree=2
         ) < estimate_memory_bytes(1000, 64, engine="structured")
@@ -197,17 +197,19 @@ class TestMemoryEstimate:
 
     def test_rotor_gather_term_matches_operator_nbytes(self):
         from repro.algorithms.rotor_router import RotorRouter
+        from repro.core.structured import inflow_gather
         from repro.graphs.balancing import estimate_memory_bytes
 
         graph = self._graph()
-        gather = RotorRouter().bind(graph)._gather
-        # The indices are reverse_flat itself: only data and indptr are
-        # memory the operator adds.
-        measured = gather.data.nbytes + gather.indptr.nbytes
+        RotorRouter().bind(graph)
+        inflow = inflow_gather(graph)
+        # The indices are the adjacency itself, and the rotor gather
+        # borrows data and indptr: those two are all the operator adds.
+        measured = inflow.data.nbytes + inflow.indptr.nbytes
         n, d = graph.num_nodes, graph.degree
         estimated = estimate_memory_bytes(
             n, graph.total_degree, engine="structured", degree=d
-        ) - 8 * n * (6 + d)
+        ) - 8 * n * 6
         assert estimated == measured
 
     def test_partitioned_term_matches_state_nbytes(self):
