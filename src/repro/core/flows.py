@@ -80,11 +80,7 @@ class FlowTracker(Probe):
                 np.arange(num_loops) < compact.loop_ceil[:, None]
             )
         if compact.window is not None:
-            window = compact.window
-            offsets = (
-                window.positions - window.rotors[:, None]
-            ) % graph.total_degree
-            self.cumulative += offsets < window.extra[:, None]
+            self.cumulative += compact.window.hit_matrix(graph)
         remainder = compact.remainder(graph, loads_before)
         self.last_remainder = remainder
         self.max_abs_remainder = max(

@@ -106,7 +106,9 @@ def validate_delta(
             f"round {t}: injector {name!r} emitted shape {delta.shape}, "
             f"expected {loads.shape}"
         )
-    if not np.issubdtype(delta.dtype, np.integer):
+    # dtype.kind is np.issubdtype(dtype, np.integer) without the
+    # Python-level dtype hierarchy walk (this runs every round).
+    if delta.dtype.kind not in "iu":
         raise InvalidInjection(
             f"round {t}: injector {name!r} emitted dtype {delta.dtype}; "
             "deltas must be integer (tokens are indivisible)"

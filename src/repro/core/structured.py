@@ -117,6 +117,13 @@ def rotor_gather(
     return gather
 
 
+def in_window(positions, rotors, extra, d_plus: int) -> np.ndarray:
+    """The rotor window rule, the one copy of it in the package: is
+    cyclic position ``positions`` inside ``[rotors, rotors + extra)``
+    modulo ``d_plus``?  (Broadcasts.)"""
+    return (positions - rotors) % d_plus < extra
+
+
 class WindowTables(NamedTuple):
     """Rotor window lookups for every ``state = rotor·d+ + extra``.
 
@@ -127,6 +134,7 @@ class WindowTables(NamedTuple):
     larger than the per-node array a lookup replaces.
     """
 
+    ports: np.ndarray  # (d+², d+) bool: port in window
     hits: np.ndarray  # (d+², d) bool: original-edge port in window
     edge_hits: np.ndarray  # (d+²,) int64: row sums of ``hits``
     loop_hits: np.ndarray  # (d+²,) int64: self-loop ports in window
@@ -140,8 +148,11 @@ def window_tables(position_row: np.ndarray, degree: int) -> WindowTables:
     """
     d_plus = position_row.size
     rotor, extra = np.divmod(np.arange(d_plus * d_plus), d_plus)
-    inside = (position_row - rotor[:, None]) % d_plus < extra[:, None]
+    inside = in_window(
+        position_row, rotor[:, None], extra[:, None], d_plus
+    )
     return WindowTables(
+        ports=inside,
         hits=np.ascontiguousarray(inside[:, :degree]),
         edge_hits=inside[:, :degree].sum(axis=1, dtype=np.int64),
         loop_hits=inside[:, degree:].sum(axis=1, dtype=np.int64),
@@ -166,11 +177,19 @@ class RotorWindow:
 
     * with ``tables`` (a :class:`WindowTables`; default port order and
       ``d+² <= n``): :attr:`state` ``= rotors·d+ + extra`` is computed
-      once, and ``edge_hit_matrix``/``edge_hits``/``loop_hits`` are
-      ``np.take`` lookups — one flat O(n) gather each, no modulo and no
-      reduction over the short port axis;
+      once, and every query is a table lookup — one flat O(n) gather
+      per per-node query, no modulo and no reduction over the short
+      port axis;
     * without (custom port orders, or ``d+² > n``): the
-      ``(positions - rotors) % d+ < extra`` formula over ``(n, d)``.
+      ``(positions - rotors) % d+ < extra`` formula over the ports
+      asked about.
+
+    Every consumer (engine apply, :meth:`StructuredRound.to_dense`, the
+    flow probe, fault corrections) asks through these methods, so the
+    window's representation lives here only: ``edge_hit_matrix``
+    (``(n, d)``, cached: the apply builds it, so a fault correction
+    indexing it afterwards pays O(pairs)), ``hit_matrix`` (``(n, d+)``)
+    and ``edge_hits`` / ``loop_hits`` (per node).
 
     ``positions``, ``reverse_flat``, ``gather`` and ``tables`` are
     static per-bind precomputes owned by the balancer (shared across
@@ -226,6 +245,12 @@ class RotorWindow:
                 )
         return self._edge_hit_cache
 
+    def hit_matrix(self, graph: BalancingGraph) -> np.ndarray:
+        """``(n, d+)`` bool: does port ``p`` of ``u`` get a window token?"""
+        if self.tables is not None:
+            return np.take(self.tables.ports, self.state, axis=0)
+        return self._inside(graph, slice(None))
+
     def edge_hits(self, graph: BalancingGraph) -> np.ndarray:
         """Per-node count of original-edge ports inside the window."""
         if self.tables is not None:
@@ -247,10 +272,12 @@ class RotorWindow:
 
     def _inside(self, graph: BalancingGraph, ports: slice) -> np.ndarray:
         """The modulo formula: which of ``ports`` lie in the window."""
-        offsets = (
-            self.positions[:, ports] - self.rotors[:, None]
-        ) % graph.total_degree
-        return offsets < self.extra[:, None]
+        return in_window(
+            self.positions[:, ports],
+            self.rotors[:, None],
+            self.extra[:, None],
+            graph.total_degree,
+        )
 
 
 @dataclass
@@ -448,8 +475,5 @@ class StructuredRound:
                 np.arange(num_loops) < self.loop_ceil[..., None]
             )
         if self.window is not None:
-            offsets = (
-                self.window.positions - self.window.rotors[:, None]
-            ) % d_plus
-            sends += offsets < self.window.extra[:, None]
+            sends += self.window.hit_matrix(graph)
         return sends

@@ -164,14 +164,22 @@ class ConstantRate(Injector):
 
     def delta(self, t: int, loads: np.ndarray) -> np.ndarray:
         n = loads.shape[-1]
-        if self.placement == "random":
-            nodes = self._rng.integers(0, n, size=self.rate)
-        else:
-            nodes = (self._cursor + np.arange(self.rate)) % n
-            self._cursor = (self._cursor + self.rate) % n
         self._injected += self.rate
         out = self._zero_delta(n)
-        np.add.at(out, nodes, 1)
+        if self.placement == "random":
+            nodes = self._rng.integers(0, n, size=self.rate)
+            np.add.at(out, nodes, 1)
+            return out
+        # Round-robin deals whole laps plus one cyclic run of nodes
+        # from the cursor: slice adds, no scatter.
+        laps, rest = divmod(self.rate, n)
+        if laps:
+            out += laps
+        end = self._cursor + rest
+        out[self._cursor:end] += 1
+        if end > n:
+            out[: end - n] += 1
+        self._cursor = end % n
         return out
 
     def summary(self) -> dict:

@@ -49,6 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from repro.core.structured import in_window
 from repro.engines.base import STRUCTURED, EngineBackend, register_engine
 from repro.graphs.partition import PartitionBook
 
@@ -98,16 +99,18 @@ def _partition_delta(
     if rotors is not None:
         rot_own = rotors[lo:hi]
         len_own = extra[lo:hi]
-        hits = ((pos_local - rot_own[:, None]) % d_plus) < len_own[:, None]
+        hits = in_window(
+            pos_local, rot_own[:, None], len_own[:, None], d_plus
+        )
         delta -= hits.sum(axis=1)
         if halo_ids.size:
             rot_ext = np.concatenate([rot_own, rotors[halo_ids]])
             len_ext = np.concatenate([len_own, extra[halo_ids]])
         else:
             rot_ext, len_ext = rot_own, len_own
-        in_hits = (
-            (pos_rev - rot_ext[adj_local]) % d_plus
-        ) < len_ext[adj_local]
+        in_hits = in_window(
+            pos_rev, rot_ext[adj_local], len_ext[adj_local], d_plus
+        )
         delta += in_hits.sum(axis=1)
     if base is not None:
         delta += base[..., lo:hi]

@@ -93,6 +93,10 @@ class RoundFaults:
     integer per-node vector applied *before* injection (crash handoff
     sums to zero; crash loss sums negative and is tracked).
 
+    ``receivers`` optionally carries the node each ``dead`` pair sends
+    to (``adjacency[dead[:, 0], dead[:, 1]]``), so a schedule that has
+    it at hand spares the engines that lookup; the validator checks it.
+
     ``trusted`` marks rounds whose invariants hold *by construction*
     (the built-in schedules assemble pairs from pre-validated canonical
     edge stacks); engines then skip the per-round
@@ -105,6 +109,7 @@ class RoundFaults:
     dropped: np.ndarray = field(default_factory=lambda: _EMPTY_PAIRS)
     load_delta: np.ndarray | None = None
     trusted: bool = False
+    receivers: np.ndarray | None = None
 
     def is_empty(self) -> bool:
         return (
@@ -117,34 +122,61 @@ class RoundFaults:
 class _BernoulliGapStream:
     """Hit indices of an iid Bernoulli(``rate``) trial stream.
 
-    The inter-arrival gaps of a Bernoulli process are iid
+    The stream is served in consecutive blocks of ``block`` trials (one
+    per round).  The inter-arrival gaps of a Bernoulli process are iid
     Geometric(``rate``), so the stream draws gaps in large vectorized
-    chunks (covering ~64 rounds per RNG call) and serves each round's
-    block of ``count`` trials with one ``searchsorted`` — the
-    per-round sampling cost is O(F) in the number of hits with no RNG
-    call at all on most rounds, which is what keeps an active fault
-    schedule inside the structured engine's throughput gate.  Exactly
-    equivalent to flipping an independent coin per trial.
+    chunks (covering ~64 blocks per RNG call), and :meth:`take_blocks`
+    hands out every block the drawn positions fully cover (at most 64)
+    in one vectorized pass: most rounds just pop a ready array, with no
+    RNG call and no per-round numpy work — an active schedule's fixed
+    per-round cost is what the E13 overhead gate measures against a
+    fault-free structured round.  Draws happen exactly when a block is not yet covered, so the RNG is
+    consumed at the same calls however the blocks are handed out.
+    Exactly equivalent to flipping an independent coin per trial.
     """
 
-    __slots__ = ("_rng", "_rate", "_chunk", "_pending", "_last", "_offset")
+    __slots__ = (
+        "_rng", "_rate", "_block", "_chunk", "_pending", "_last",
+        "_offset", "_ready",
+    )
+
+    #: Most blocks handed out per pass (bounds the work after one huge
+    #: gap).
+    _SPLIT = 64
 
     def __init__(self, rng, rate: float, block: int) -> None:
         self._rng = rng
         self._rate = float(rate)
+        self._block = int(block)
         self._chunk = max(64, int(64 * block * rate) + 16)
         self._pending = _EMPTY_INDICES
         self._last = -1  # last absolute trial position drawn so far
         self._offset = 0  # absolute position where the next block starts
+        self._ready: list[np.ndarray] = []  # for take(); next one last
 
-    def take(self, count: int) -> np.ndarray:
-        """Sorted hit indices in [0, count) for the next ``count`` trials."""
+    def take(self) -> np.ndarray:
+        """Sorted hit indices in ``[0, block)`` for the next block."""
+        if not self._ready:
+            hits, bounds = self.take_blocks()
+            self._ready = _split_blocks(hits, bounds, 1)
+        return self._ready.pop()
+
+    def take_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next blocks, at least one: ``(hits, bounds)``.
+
+        Block ``i``'s sorted hit indices in ``[0, block)`` are
+        ``hits[bounds[i]:bounds[i + 1]]``.  Not to be mixed with
+        :meth:`take` on one stream.
+        """
+        count = self._block
         if self._rate <= 0.0 or count == 0:
-            return _EMPTY_INDICES
+            return _EMPTY_INDICES, np.zeros(2, dtype=np.int64)
         if self._rate >= 1.0:
-            return np.arange(count, dtype=np.int64)
-        end = self._offset + count
-        while self._last < end - 1:
+            return (
+                np.arange(count, dtype=np.int64),
+                np.array([0, count], dtype=np.int64),
+            )
+        while self._last < self._offset + count - 1:
             gaps = self._rng.geometric(self._rate, size=self._chunk)
             # For vanishingly small rates a single geometric gap can
             # approach 2**63 and overflow the cumsum.  Clamping at 2**50
@@ -158,11 +190,22 @@ class _BernoulliGapStream:
                 self._pending = np.concatenate([self._pending, more])
             else:
                 self._pending = more
-        split = int(np.searchsorted(self._pending, end))
-        hits = self._pending[:split] - self._offset
-        self._pending = self._pending[split:]
-        self._offset = end
-        return hits
+        covered = min((self._last + 1 - self._offset) // count, self._SPLIT)
+        starts = self._offset + count * np.arange(covered + 1)
+        bounds = self._pending.searchsorted(starts)
+        hits = self._pending[: bounds[-1]] - np.repeat(
+            starts[:-1], np.diff(bounds)
+        )
+        self._pending = self._pending[bounds[-1]:]
+        self._offset = int(starts[-1])
+        return hits, bounds
+
+
+def _split_blocks(array: np.ndarray, bounds: np.ndarray, rows: int):
+    """Per-block views of ``array`` (``rows`` rows per hit), in
+    reverse block order so ``list.pop()`` serves them in order."""
+    edges = (bounds * rows).tolist()
+    return [array[lo:hi] for lo, hi in zip(edges[-2::-1], edges[:0:-1])]
 
 
 class FaultSchedule:
@@ -229,8 +272,8 @@ class FaultSchedule:
         )
         self._canon_v = adjacency[self._canon_u, self._canon_p]
         self._canon_q = graph.reverse_port[self._canon_u, self._canon_p]
-        # Both directed pairs of every canonical edge, stacked so a
-        # faulty round pays ONE O(F) fancy index, not re-assembly:
+        # Both directed pairs of every canonical edge, stacked so failed
+        # links map to their pairs with one gather, not re-assembly:
         # _canon_both[e] == [[u, p], [v, q]] for undirected edge e.
         self._canon_both = np.stack(
             [
@@ -239,10 +282,6 @@ class FaultSchedule:
             ],
             axis=1,
         )
-
-    def _edges_to_pairs(self, selected: np.ndarray) -> np.ndarray:
-        """Canonical-edge index array -> symmetric directed pairs."""
-        return self._canon_both[selected].reshape(-1, 2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -303,13 +342,27 @@ class LinkFailures(FaultSchedule):
         self._coins = _BernoulliGapStream(
             self._rng, self.rate, self._canon_u.size
         )
+        # Receiving node of each directed pair in _canon_both.
+        self._canon_receivers = np.stack(
+            [self._canon_v, self._canon_u], axis=1
+        )
+        self._queued: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_failures = 0
         self._failure_rounds = 0
         if self.mode == "cut":
             half = graph.num_nodes // 2
-            self._cut_edges = np.flatnonzero(
-                (self._canon_u < half) != (self._canon_v < half)
+            self._cut_dead, self._cut_receivers = self._pairs(
+                np.flatnonzero(
+                    (self._canon_u < half) != (self._canon_v < half)
+                )
             )
+
+    def _pairs(self, edges: np.ndarray):
+        """Canonical edges -> their directed pairs and receivers."""
+        return (
+            self._canon_both.take(edges, axis=0).reshape(-1, 2),
+            self._canon_receivers.take(edges, axis=0).reshape(-1),
+        )
 
     def round_state(self, t: int, loads: np.ndarray):
         if self.until is not None and t > self.until:
@@ -317,19 +370,28 @@ class LinkFailures(FaultSchedule):
         if self.mode == "cut":
             if (t - 1) % self.period >= self.down:
                 return None
-            selected = self._cut_edges
+            dead, receivers = self._cut_dead, self._cut_receivers
         else:
             if self.rate == 0.0 or self._canon_u.size == 0:
                 return None
-            selected = self._coins.take(self._canon_u.size)
-        count = int(selected.size)
+            if not self._queued:
+                # ~64 rounds of failed links at once: one gather each
+                # for their pairs and receivers, then per-round views.
+                hits, bounds = self._coins.take_blocks()
+                dead, receivers = self._pairs(hits)
+                self._queued = list(
+                    zip(
+                        _split_blocks(dead, bounds, 2),
+                        _split_blocks(receivers, bounds, 2),
+                    )
+                )
+            dead, receivers = self._queued.pop()
+        count = receivers.size // 2
         if count == 0:
             return None
         self._edge_failures += count
         self._failure_rounds += 1
-        return RoundFaults(
-            dead=self._edges_to_pairs(selected), trusted=True
-        )
+        return RoundFaults(dead=dead, receivers=receivers, trusted=True)
 
     def summary(self) -> dict:
         return {
@@ -416,7 +478,7 @@ class NodeCrashes(FaultSchedule):
         crashing = np.zeros(n, dtype=bool)
         if active:
             if self.rate > 0.0:
-                sampled = self._coins.take(n)
+                sampled = self._coins.take()
                 crashing[sampled[~down[sampled]]] = True
             for node in self._by_round.get(t, ()):
                 if not down[node]:
@@ -514,7 +576,7 @@ class MessageDrop(FaultSchedule):
             return None
         if self.rate == 0.0 or self._real_u.size == 0:
             return None
-        selected = self._coins.take(self._real_u.size)
+        selected = self._coins.take()
         if selected.size == 0:
             return None
         self._drop_events += int(selected.size)
@@ -536,7 +598,8 @@ def validate_round_faults(faults: RoundFaults, graph) -> None:
 
     Checks index ranges, that only real (non-padding) ports are
     touched, that ``dead`` is closed under edge reversal with no
-    duplicates, and that ``dead`` and ``dropped`` are disjoint.
+    duplicates (and matches ``receivers`` when given), and that
+    ``dead`` and ``dropped`` are disjoint.
     """
     n, d = graph.adjacency.shape
     true_degrees = getattr(graph, "true_degrees", None)
@@ -575,6 +638,12 @@ def validate_round_faults(faults: RoundFaults, graph) -> None:
                 "dead pairs are not closed under edge reversal; a "
                 "failed link is down for both endpoints"
             )
+        if faults.receivers is not None and not np.array_equal(
+            faults.receivers, graph.adjacency[u, p]
+        ):
+            raise InvalidFault(
+                "receivers must be the far endpoint of each dead pair"
+            )
     dropped = flats["dropped"]
     if dropped.size:
         dropped = np.sort(dropped)
@@ -610,9 +679,11 @@ def structured_port_values(
 
     Every real port of node ``u`` carries ``edge_share[u]`` plus one
     window token iff the port's cyclic position falls inside the rotor
-    window — evaluated only at the F faulted pairs, never densely.
+    window — read at the F faulted pairs only, the window hits from the
+    round's edge hit matrix (the structured apply has already built and
+    cached it; see :class:`~repro.core.structured.RotorWindow`).
     """
-    u, p = pairs[:, 0], pairs[:, 1]
+    u = pairs[:, 0]
     share = np.asarray(compact.edge_share)
     if share.ndim == 2:
         share = share[replica if replica is not None else 0]
@@ -622,12 +693,9 @@ def structured_port_values(
         # take() always materializes a fresh array, so the in-place
         # window add below cannot alias the balancer's state.
         values = share.take(u).astype(np.int64, copy=False)
-    window = compact.window
-    if window is not None:
-        hits = (
-            window.positions[u, p] - window.rotors[u]
-        ) % graph.total_degree < window.extra[u]
-        values += hits
+    if compact.window is not None:
+        # Faults touch real ports only, and those are original edges.
+        values += compact.window.edge_hit_matrix(graph)[u, pairs[:, 1]]
     return values
 
 
@@ -643,16 +711,16 @@ def apply_round_faults(
     returned count is what the caller subtracts from its running total.
     """
     if faults.dead.size:
-        values = port_values(faults.dead)
         senders = faults.dead[:, 0]
-        receivers = graph.adjacency[senders, faults.dead[:, 1]]
-        # One fused scatter: -value at the receiver, +value back at the
-        # sender (ufunc.at dominates this path's cost, so call it once).
-        np.add.at(
-            new_loads,
-            np.concatenate([receivers, senders]),
-            np.concatenate([-values, values]),
-        )
+        receivers = faults.receivers
+        if receivers is None:
+            receivers = graph.adjacency[senders, faults.dead[:, 1]]
+        values = port_values(faults.dead)
+        # Two scatters beat concatenating both index and value arrays
+        # into one: a round's F pairs are few, so numpy's per-call cost
+        # is what this path pays.
+        np.subtract.at(new_loads, receivers, values)
+        np.add.at(new_loads, senders, values)
     dropped_tokens = 0
     if faults.dropped.size:
         values = port_values(faults.dropped)

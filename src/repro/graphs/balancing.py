@@ -388,13 +388,13 @@ def estimate_memory_bytes(
     **structured** engine (``sends_structured``; see
     :mod:`repro.core.structured`) never builds the matrix: a round is a
     per-node share vector, an O(n·d) adjacency gather, and O(n)
-    validation — roughly six length-``n`` int64 vectors.  The share
-    gather is one sparse matvec through the graph's CSR inflow operator
-    with no ``(n, d)`` temporary (a rotor round's flat ``n·d`` per-port
-    value vector is left out of this rough model); the operator's size
-    scales with ``d``, the *original* degree (pass ``degree=``;
-    defaults to ``d+/2``, the paper's standard ``d+ = 2d``
-    augmentation).
+    validation — roughly six length-``n`` int64 vectors plus one flat
+    ``n·d`` int64 per-port vector (a rotor round's sender-side values
+    and its ``(n, d)`` bool hit matrix fit in it; a SEND round's share
+    gather is one sparse matvec through the graph's CSR inflow operator,
+    so for SEND the term is slack).  ``d`` is the *original* degree
+    (pass ``degree=``; defaults to ``d+/2``, the paper's standard
+    ``d+ = 2d`` augmentation).
 
     Measured on the E13 ladder (cycle, ``d+ = 2d``, 50-round runs; see
     ``BENCH_e13.json``): the structured engine wins ~3-4x at
@@ -433,7 +433,7 @@ def estimate_memory_bytes(
     if degree is None:
         degree = max(1, d_plus // 2)
     inflow = 8 * n * degree + 8 * (n + 1)  # data + indptr
-    structured = 8 * n * 6 + inflow
+    structured = 8 * n * (6 + degree) + inflow
     dense = 8 * n * d_plus + 8 * 4 * n + inflow
     if engine == "dense":
         return dense

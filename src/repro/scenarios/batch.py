@@ -559,7 +559,7 @@ class BatchRunner:
                 self._check_overdraw(balancer, loads, remainder, replicas)
             new += self._backend.incoming(graph, sends)
         if self._settling:
-            rows = new if stacked else new[None]
+            rows = new if stacked else (new,)
             for index, replica in enumerate(replicas):
                 if self._structured:
                     values = partial(

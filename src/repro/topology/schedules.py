@@ -260,7 +260,7 @@ class EdgeChurn(TopologySchedule):
             else:
                 severed = _EMPTY_NODES
         else:
-            hits = self._coins.take(self._edges.shape[0])
+            hits = self._coins.take()
             # Edges still down — or rejoining this very round — are
             # not up to fail; skipping them keeps the trial count per
             # round fixed (determinism) without double-dropping.
@@ -337,7 +337,7 @@ class NodeJoinLeave(TopologySchedule):
         n = self._num_nodes
         leaving = _EMPTY_NODES
         if (self.until is None or t <= self.until) and self.rate > 0.0:
-            hits = self._coins.take(n)
+            hits = self._coins.take()
             # Nodes already away — or rejoining this very round — stay
             # out of this round's departure pool.
             leaving = hits[self._back_at[hits] < t]
@@ -551,15 +551,19 @@ class ScriptedTopology(TopologySchedule):
 
     def start(self, graph, loads: np.ndarray) -> None:
         self._snapshot(graph)
-        self._by_round: dict[int, list[tuple]] = {}
+        grouped: dict[int, list[tuple]] = {}
         for event in self.events:
-            self._by_round.setdefault(event[1], []).append(event)
+            grouped.setdefault(event[1], []).append(event)
+        # The script is fixed, so each round's batch is built once here
+        # rather than re-assembled from the event tuples every round.
+        self._by_round = {
+            t: (self._batch(batch), len(batch))
+            for t, batch in grouped.items()
+        }
         self._applied = 0
 
-    def round_events(self, t: int, loads: np.ndarray):
-        batch = self._by_round.get(t)
-        if not batch:
-            return None
+    @staticmethod
+    def _batch(batch: list[tuple]) -> TopologyEvents:
         drops, adds, leaves, joins = [], [], [], []
         for event in batch:
             op = event[0]
@@ -571,7 +575,6 @@ class ScriptedTopology(TopologySchedule):
                 leaves.append(event[2])
             else:
                 joins.append((event[2], event[3]))
-        self._applied += len(batch)
         return TopologyEvents(
             edge_drops=(
                 np.array(drops, dtype=np.int64)
@@ -586,6 +589,14 @@ class ScriptedTopology(TopologySchedule):
             leaves=np.array(leaves, dtype=np.int64),
             joins=tuple(joins),
         )
+
+    def round_events(self, t: int, loads: np.ndarray):
+        entry = self._by_round.get(t)
+        if entry is None:
+            return None
+        events, count = entry
+        self._applied += count
+        return events
 
     def summary(self) -> dict:
         return {"topology_events_applied": self._applied}
@@ -603,6 +614,11 @@ def validate_topology_events(events: TopologyEvents, graph) -> None:
     consistency against the live graph (edge present/absent, node
     active/inactive, port capacity) is enforced unconditionally by
     :func:`apply_topology_events` itself.
+
+    The checks run over Python ints: :func:`apply_topology_events`
+    walks the batch edge by edge anyway, so this stays a fraction of
+    its cost, while numpy's fixed per-call cost would dominate the
+    typical one-edge batch.
     """
     n = graph.num_nodes
     for label, pairs in (
@@ -616,25 +632,23 @@ def validate_topology_events(events: TopologyEvents, graph) -> None:
             raise InvalidTopology(
                 f"{label} must have shape (k, 2), got {pairs.shape}"
             )
-        if pairs.min() < 0 or pairs.max() >= n:
+        edges = pairs.tolist()
+        if not all(0 <= u < n and 0 <= v < n for u, v in edges):
             raise InvalidTopology(
                 f"{label} endpoints must lie in [0, {n})"
             )
-        if np.any(pairs[:, 0] == pairs[:, 1]):
+        if any(u == v for u, v in edges):
             raise InvalidTopology(f"{label} contains a self-edge")
-        keys = np.sort(
-            np.minimum(pairs[:, 0], pairs[:, 1]) * n
-            + np.maximum(pairs[:, 0], pairs[:, 1])
-        )
-        if np.any(keys[1:] == keys[:-1]):
+        keys = {(u, v) if u < v else (v, u) for u, v in edges}
+        if len(keys) != len(edges):
             raise InvalidTopology(f"{label} contains duplicate edges")
-    leaves = np.asarray(events.leaves)
-    if leaves.size:
-        if leaves.min() < 0 or leaves.max() >= n:
+    leaves = np.asarray(events.leaves).ravel().tolist()
+    if leaves:
+        if not all(0 <= u < n for u in leaves):
             raise InvalidTopology(
                 f"leave nodes must lie in [0, {n})"
             )
-        if np.unique(leaves).size != leaves.size:
+        if len(set(leaves)) != len(leaves):
             raise InvalidTopology("leaves contains duplicate nodes")
     seen = set()
     for node, neighbors in events.joins:

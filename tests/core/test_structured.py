@@ -265,6 +265,32 @@ class TestRotorWindowTables:
         np.testing.assert_array_equal(
             window.loop_hits(graph), inside[:, degree:].sum(axis=1)
         )
+        np.testing.assert_array_equal(window.hit_matrix(graph), inside)
+
+    def test_positions_path_queries_match_modulo_formula(self):
+        graph = families.cycle(32)
+        rng = np.random.default_rng(3)
+        d_plus = graph.total_degree
+        orders = np.array(
+            [rng.permutation(d_plus) for _ in range(graph.num_nodes)]
+        )
+        bound = _window(RotorRouter(port_orders=orders).bind(graph), graph)
+        rotors = rng.integers(0, d_plus, graph.num_nodes)
+        extra = rng.integers(0, d_plus, graph.num_nodes)
+        window = RotorWindow(
+            rotors=rotors,
+            extra=extra,
+            positions=bound.positions,
+            reverse_flat=bound.reverse_flat,
+            gather=bound.gather,
+        )
+        inside = (
+            (bound.positions - rotors[:, None]) % d_plus < extra[:, None]
+        )
+        np.testing.assert_array_equal(window.hit_matrix(graph), inside)
+        np.testing.assert_array_equal(
+            window.edge_hit_matrix(graph), inside[:, : graph.degree]
+        )
 
     def test_custom_port_orders_keep_positions_path(self):
         graph = families.cycle(32)

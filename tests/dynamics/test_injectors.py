@@ -47,6 +47,19 @@ class TestConstantRate:
         assert first.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
         assert second.tolist() == [1, 1, 0, 0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("rate", [0, 3, 8, 13, 27])
+    def test_round_robin_deals_cyclically_past_whole_laps(self, rate):
+        n = 8
+        injector = ConstantRate(rate, placement="round_robin")
+        loads = np.zeros(n, dtype=np.int64)
+        injector.start(None, loads)
+        cursor = 0
+        for t in range(1, 12):
+            expected = np.zeros(n, dtype=np.int64)
+            np.add.at(expected, (cursor + np.arange(rate)) % n, 1)
+            cursor = (cursor + rate) % n
+            np.testing.assert_array_equal(injector.delta(t, loads), expected)
+
     def test_random_placement_reproducible_after_restart(self):
         injector = ConstantRate(16, seed=4)
         loads = np.zeros(10, dtype=np.int64)

@@ -51,6 +51,72 @@ def test_link_failures_dead_set_is_symmetric_and_real():
     assert saw_faults
 
 
+def test_link_failures_carry_their_receivers():
+    graph = fat_tree(4)
+    for mode in ("random", "cut"):
+        schedule = LinkFailures(rate=0.3, mode=mode, seed=5)
+        schedule.start(graph, _loads(graph))
+        for t in range(1, 10):
+            faults = schedule.round_state(t, _loads(graph))
+            if faults is None:
+                continue
+            u, p = faults.dead[:, 0], faults.dead[:, 1]
+            np.testing.assert_array_equal(
+                faults.receivers, graph.adjacency[u, p]
+            )
+
+
+def _reference_blocks(rng, rate, block, count):
+    """The gap stream served one block per call: a search per block."""
+    chunk = max(64, int(64 * block * rate) + 16)
+    pending = np.empty(0, dtype=np.int64)
+    last, offset, blocks = -1, 0, []
+    for _ in range(count):
+        end = offset + block
+        while last < end - 1:
+            gaps = rng.geometric(rate, size=chunk)
+            np.minimum(gaps, 1 << 50, out=gaps)
+            more = last + np.cumsum(gaps)
+            last = int(more[-1])
+            pending = np.concatenate([pending, more])
+        split = int(np.searchsorted(pending, end))
+        blocks.append(pending[:split] - offset)
+        pending = pending[split:]
+        offset = end
+    return blocks
+
+
+@pytest.mark.parametrize("rate", [1e-9, 0.003, 0.05, 0.5])
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_gap_stream_blocks_match_per_block_reference(rate, block):
+    from repro.faults.schedules import _BernoulliGapStream
+
+    count = 200
+    reference_rng = np.random.default_rng(11)
+    expected = _reference_blocks(reference_rng, rate, block, count)
+    for bulk in (False, True):
+        rng = np.random.default_rng(11)
+        stream = _BernoulliGapStream(rng, rate, block)
+        got = []
+        while len(got) < count:
+            if bulk:
+                hits, bounds = stream.take_blocks()
+                got += [
+                    hits[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+            else:
+                got.append(stream.take())
+        for mine, theirs in zip(got, expected):
+            np.testing.assert_array_equal(mine, theirs)
+        if not bulk:
+            # Same draws at the same calls: the RNG ends where the
+            # one-block-at-a-time stream leaves it.
+            assert (
+                rng.bit_generator.state
+                == reference_rng.bit_generator.state
+            )
+
+
 def test_link_failures_rate_zero_is_free():
     graph = families.cycle(8)
     schedule = LinkFailures(rate=0.0)
@@ -275,6 +341,19 @@ def test_validator_rejects_asymmetric_dead_pairs():
     graph = families.cycle(6)
     with pytest.raises(InvalidFault, match="edge reversal"):
         validate_round_faults(RoundFaults(dead=_pair(0, 0)), graph)
+
+
+def test_validator_rejects_wrong_receivers():
+    graph = families.cycle(6)
+    v = int(graph.adjacency[0, 0])
+    q = int(graph.reverse_port[0, 0])
+    dead = np.array([[0, 0], [v, q]], dtype=np.int64)
+    right = np.array([v, 0], dtype=np.int64)
+    validate_round_faults(RoundFaults(dead=dead, receivers=right), graph)
+    with pytest.raises(InvalidFault, match="far endpoint"):
+        validate_round_faults(
+            RoundFaults(dead=dead, receivers=right[::-1].copy()), graph
+        )
 
 
 def test_validator_rejects_duplicates_and_overlap():

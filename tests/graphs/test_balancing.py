@@ -171,7 +171,8 @@ class TestMemoryEstimate:
             assert estimate_memory_bytes(
                 1000, d_plus, engine="dense"
             ) > estimate_memory_bytes(1000, d_plus, engine="structured")
-        # The inflow operator scales with the original degree, not d+.
+        # The per-port term and the inflow operator scale with the
+        # original degree, not d+.
         assert estimate_memory_bytes(
             1000, 64, engine="structured", degree=2
         ) < estimate_memory_bytes(1000, 64, engine="structured")
@@ -209,7 +210,7 @@ class TestMemoryEstimate:
         n, d = graph.num_nodes, graph.degree
         estimated = estimate_memory_bytes(
             n, graph.total_degree, engine="structured", degree=d
-        ) - 8 * n * 6
+        ) - 8 * n * (6 + d)
         assert estimated == measured
 
     def test_partitioned_term_matches_state_nbytes(self):
