@@ -23,14 +23,10 @@ bit-identical and gated at ``--suite-speedup-limit`` (default 1.5x)
 when the machine has at least as many cpus as workers.
 
 The **backend ladder** times every backend registered in
-:data:`repro.engines.ENGINES` (not just the two historical engines) on
-the same cycles, records each backend's kernel flavor, and verifies
-all backends bit-identical.  The partitioned backend's rows carry a
-``partitioned_vs_structured`` ratio and machine context; ``--check``
-demands a >= 2x rotor speedup at ``n >= 2^20`` on machines
-with at least 4 cpus (skipped with a note below that — the worker
-fan-out is cpu-bounded by construction).  ``--ten-million`` runs the
-10^7-node headline: structured vs partitioned, verified bit-identical.
+:data:`repro.engines.ENGINES` (third-party registrations included) on
+the same cycles and verifies all backends bit-identical.
+``--ten-million`` runs the 10^7-node headline: construct a cycle and
+run structured rounds per algorithm, with the machine's cpu count.
 
 The emitted report has one canonical home: ``BENCH_e13.json`` at the
 repository root.  Relative ``--output`` paths resolve against the
@@ -577,7 +573,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
         for algorithm in BACKEND_ALGORITHMS:
             seconds_by = {}
             finals_by = {}
-            kernel_by = {}
             for name in sorted(ENGINES):
                 backend = create_engine(name)
                 if backend.protocol == DENSE and n > dense_cap:
@@ -587,7 +582,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                 )
                 seconds_by[name] = seconds
                 finals_by[name] = finals
-                kernel_by[name] = backend.kernel
             reference = finals_by.get(
                 "dense", finals_by.get("structured")
             )
@@ -597,33 +591,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                         f"backend {name!r} diverged from the reference "
                         f"at n={n}, {algorithm}"
                     )
-            partitioned_ratio = None
-            if (
-                "partitioned" in seconds_by
-                and "structured" in seconds_by
-            ):
-                # Best-of-repeats quotient is always recorded; the
-                # extra paired iterations only pay off (and only cost
-                # extra) when the backend actually forks workers —
-                # on a 1-cpu box it degenerates to the inline kernel.
-                partitioned_ratio = (
-                    seconds_by["partitioned"] / seconds_by["structured"]
-                )
-                from repro.engines.partitioned import default_workers
-
-                if default_workers() > 1 and n >= 4096:
-                    for _ in range(max(repeats, 3)):
-                        structured, _, _ = _time_run(
-                            graph, algorithm, loads, rounds,
-                            "structured", 1,
-                        )
-                        partitioned, _, _ = _time_run(
-                            graph, algorithm, loads, rounds,
-                            "partitioned", 1,
-                        )
-                        partitioned_ratio = min(
-                            partitioned_ratio, partitioned / structured
-                        )
             entry = {
                 "n": n,
                 "d_plus": graph.total_degree,
@@ -632,7 +599,6 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                 "bit_identical": True,
                 "backends": {
                     name: {
-                        "kernel": kernel_by[name],
                         "seconds": round(seconds_by[name], 4),
                         "rounds_per_second": round(
                             rounds / seconds_by[name], 1
@@ -641,15 +607,9 @@ def run_backend_ladder(sizes, rounds=50, repeats=3, dense_cap=262_144):
                     for name in seconds_by
                 },
             }
-            if partitioned_ratio is not None:
-                entry["partitioned_vs_structured"] = round(
-                    partitioned_ratio, 3
-                )
-                entry["cpu_count"] = os.cpu_count()
             entries.append(entry)
             summary = "  ".join(
                 f"{name} {seconds_by[name]:7.3f}s"
-                f" [{kernel_by[name]}]"
                 for name in sorted(seconds_by)
             )
             print(f"n={n:>8d} {algorithm:<13s} {summary}")
@@ -783,21 +743,14 @@ def run_million_headline(rounds=50, algorithms=LADDER_ALGORITHMS):
 def run_ten_million_headline(
     rounds=10, algorithms=("rotor_router", "send_floor")
 ):
-    """The partitioned-era headline: a 10^7-node cycle per backend.
+    """The 10^7-node headline: a cycle one order past the million.
 
-    One order of magnitude past the classic million-node scenario —
-    the regime the partitioned engine exists for.  Each algorithm runs
-    ``rounds`` rounds through the serial structured engine and through
-    the partitioned backend (default worker count for the machine,
-    recorded in the row), and the two final load vectors are verified
-    bit-identical before the timings are emitted.  On a 1-cpu box the
-    partitioned backend degenerates to its inline kernel, so the row
-    stays comparable across machines via its ``workers``/``cpu_count``
-    fields.
+    Each algorithm runs ``rounds`` rounds through the serial structured
+    engine; the row records the machine's cpu count next to the
+    timings.
     """
     from repro.core.engine import Simulator as _Simulator
     from repro.core.loads import adversarial_split
-    from repro.engines.partitioned import default_workers
     from repro.graphs.families import cycle
 
     n = 10_000_000
@@ -805,55 +758,31 @@ def run_ten_million_headline(
     graph = cycle(n)
     construct_seconds = time.perf_counter() - start
     loads = adversarial_split(n, 32 * n)
-    structured_per_algorithm = {}
-    partitioned_per_algorithm = {}
+    per_algorithm = {}
     for algorithm in algorithms:
         algo_start = time.perf_counter()
-        reference = _Simulator(
+        _Simulator(
             graph,
             make(algorithm),
             loads,
             record_history=False,
             engine="structured",
         ).run(rounds)
-        structured_per_algorithm[algorithm] = round(
+        per_algorithm[algorithm] = round(
             time.perf_counter() - algo_start, 2
         )
-        algo_start = time.perf_counter()
-        candidate = _Simulator(
-            graph,
-            make(algorithm),
-            loads,
-            record_history=False,
-            engine="partitioned",
-        ).run(rounds)
-        partitioned_per_algorithm[algorithm] = round(
-            time.perf_counter() - algo_start, 2
-        )
-        if not np.array_equal(
-            reference.final_loads, candidate.final_loads
-        ):
-            raise AssertionError(
-                f"partitioned diverged from structured at n=10^7 "
-                f"({algorithm})"
-            )
     total = round(time.perf_counter() - start, 2)
-    workers = default_workers()
     print(
         f"headline: cycle(10^7) construct {construct_seconds:.2f}s, "
-        f"{rounds} structured rounds {structured_per_algorithm}, "
-        f"partitioned[x{workers}] rounds {partitioned_per_algorithm}, "
-        f"total {total:.2f}s (bit-identical)"
+        f"{rounds} structured rounds {per_algorithm}, "
+        f"total {total:.2f}s"
     )
     return {
         "n": n,
         "rounds": rounds,
         "construct_seconds": round(construct_seconds, 2),
-        "structured_seconds": structured_per_algorithm,
-        "partitioned_seconds": partitioned_per_algorithm,
-        "workers": workers,
+        "structured_seconds": per_algorithm,
         "cpu_count": os.cpu_count(),
-        "bit_identical": True,
         "total_seconds": total,
     }
 
@@ -888,10 +817,7 @@ def main(argv=None):
     parser.add_argument(
         "--ten-million",
         action="store_true",
-        help=(
-            "also run the 10^7-node cycle headline: structured vs "
-            "partitioned, verified bit-identical"
-        ),
+        help="also run the 10^7-node cycle headline (structured)",
     )
     parser.add_argument(
         "--suite-bench",
@@ -942,28 +868,6 @@ def main(argv=None):
         default=1.2,
         help="max allowed structured+faults / structured-bare ratio "
         "at n >= 4096 (default 1.2)",
-    )
-    parser.add_argument(
-        "--partitioned-speedup-limit",
-        type=float,
-        default=2.0,
-        help=(
-            "minimum structured-over-partitioned rotor speedup "
-            "required by --check at n >= --partitioned-gate-min-n "
-            "(enforced only on machines with >= 4 cpus — below that "
-            "the worker fan-out cannot mathematically reach 2x and "
-            "the gate is skipped with a note; default 2.0)"
-        ),
-    )
-    parser.add_argument(
-        "--partitioned-gate-min-n",
-        type=int,
-        default=2**20,
-        help=(
-            "smallest ladder rung the partitioned --check gate "
-            "applies to (default 2^20: below that the per-round "
-            "process round-trip is comparable to the round itself)"
-        ),
     )
     parser.add_argument(
         "--topology-overhead-limit",
@@ -1080,38 +984,6 @@ def main(argv=None):
                     f"{entry['topology_overhead']}x exceeds "
                     f"{args.topology_overhead_limit}x at "
                     f"n={entry['n']} ({entry['algorithm']})",
-                    file=sys.stderr,
-                )
-        for entry in report["backend_ladder"]:
-            if (
-                entry["n"] < args.partitioned_gate_min_n
-                or entry["algorithm"] != "rotor_router"
-                or "partitioned_vs_structured" not in entry
-            ):
-                continue
-            cpus = entry.get("cpu_count") or os.cpu_count() or 1
-            if cpus < 4:
-                # The fan-out is bounded by min(4, cpu_count) workers:
-                # on fewer than 4 cpus a 2x demand is unreachable by
-                # construction, so record-but-don't-gate.
-                print(
-                    f"note: partitioned speedup gate skipped at "
-                    f"n={entry['n']} ({cpus} cpus; enforcement needs "
-                    f">= 4): measured "
-                    f"{entry['partitioned_vs_structured']}x of "
-                    "structured"
-                )
-                continue
-            if entry["partitioned_vs_structured"] > (
-                1.0 / args.partitioned_speedup_limit
-            ):
-                failed = True
-                print(
-                    f"FAIL: partitioned rotor only "
-                    f"{1.0 / entry['partitioned_vs_structured']:.2f}x "
-                    f"over structured at n={entry['n']} (need >= "
-                    f"{args.partitioned_speedup_limit}x on {cpus} "
-                    "cpus)",
                     file=sys.stderr,
                 )
         suite_entry = report.get("suite_throughput")

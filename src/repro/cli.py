@@ -201,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "execution backend: auto (default), or any registered "
-            "engine — dense, structured, partitioned (k partitions x "
-            "worker processes over shared memory; params via "
-            "'partitioned:{\"workers\": 4}'); see --list-engines"
+            "engine — dense, structured; see --list-engines"
         ),
     )
     sim_parser.add_argument(
@@ -420,8 +418,7 @@ def _run_simulate(args) -> int:
             ) / 2**20
             print(
                 f"  {name}  [{backend.protocol} protocol, "
-                f"{backend.kernel} kernel, ~{megabytes:.0f} MB @ "
-                f"n=10^6 d+=4]"
+                f"~{megabytes:.0f} MB @ n=10^6 d+=4]"
             )
         return 0
     if args.algorithm is None:

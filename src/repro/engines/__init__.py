@@ -6,24 +6,23 @@
 computation to a registered :class:`EngineBackend` and keeps everything
 else (validation, conservation, probes, faults, churn).  See
 :mod:`repro.engines.base` for the backend contract and the built-in
-modules for the three shipped backends:
+module for the two shipped numpy backends:
 
 ======================  ==========  ========================================
-name                    protocol    kernel
+name                    protocol    round computation
 ======================  ==========  ========================================
-``dense``               dense       numpy gather (universal fallback)
-``structured``          structured  numpy matrix-free, every round one
-                                    CSR gather (auto fast path)
-``partitioned``         structured  k partitions x worker processes + shm
+``dense``               dense       reverse-port gather (universal fallback)
+``structured``          structured  matrix-free, every round one CSR
+                                    gather (auto fast path)
 ======================  ==========  ========================================
 
 ``engine="auto"`` is a selection policy, not a backend: it picks
 ``structured`` when the balancer and the attached observers allow it
 and ``dense`` otherwise, exactly as before the registry existed.
 
-Engine specs accept constructor params via the shared shorthand
-grammar — ``engine='partitioned:{"workers": 4}'`` anywhere an engine
-name is accepted (Scenario JSON, the CLI, runner constructors).
+An engine spec is a bare registry name everywhere one is accepted
+(Scenario JSON, the CLI, runner constructors); backends take no
+constructor params.
 """
 
 from repro.engines.base import (
@@ -34,10 +33,8 @@ from repro.engines.base import (
     create_engine,
     engine_names,
     register_engine,
-    split_engine_spec,
 )
 from repro.engines import builtin as _builtin  # noqa: F401 (registers)
-from repro.engines import partitioned as _partitioned  # noqa: F401
 
 __all__ = [
     "DENSE",
@@ -47,5 +44,4 @@ __all__ = [
     "create_engine",
     "engine_names",
     "register_engine",
-    "split_engine_spec",
 ]

@@ -16,30 +16,30 @@ array computation of one round:
 
 Backends register under a name in :data:`ENGINES` (the same
 :class:`~repro.registry.Registry` mechanism as balancers, probes,
-injectors and topology schedules), so ``engine="partitioned"`` in a
+injectors and topology schedules), so ``engine="structured"`` in a
 Scenario, on the CLI, or in a ``Simulator``/``BatchRunner`` constructor
 resolves through one table — and new backends (a GPU kernel, say) plug
 in without touching the orchestrators.
 
 Every backend must be **bit-identical** to the builtin dense engine:
-all protocol state is integer, so alternative kernels (CSR gathers,
-partitioned worker processes) are exact, not approximate.  The cross-backend property
-suite enforces this for every registered name.
+all protocol state is integer, so any alternative kernel is exact, not
+approximate.  The cross-backend property suite enforces this for every
+registered name.
 
-A backend instance is private to one executor and
-may cache per-graph precomputes (gather indices, partition state)
-keyed by the graph object itself (a ``weakref.WeakKeyDictionary``,
-never ``id(graph)``, which a new graph can inherit once the old one is
-freed); :meth:`EngineBackend.refresh_topology` is
-called after every churn event so those caches are repaired or dropped
-in step with the balancer's own incremental refresh.
+A backend instance is private to one executor and may cache per-graph
+precomputes (gather indices) keyed by the graph object itself (a
+``weakref.WeakKeyDictionary``, never ``id(graph)``, which a new graph
+can inherit once the old one is freed);
+:meth:`EngineBackend.refresh_topology` is called after every churn
+event so those caches are repaired or dropped in step with the
+balancer's own incremental refresh.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.registry import Registry, parse_spec_shorthand
+from repro.registry import Registry
 
 DENSE = "dense"
 STRUCTURED = "structured"
@@ -64,19 +64,10 @@ class EngineBackend:
             backends need ``supports_structured_sends`` balancers and
             refuse dense-demanding observers, dense backends work with
             everything.
-        kernel: short label of the compute flavor actually in use
-            (``"numpy"``, ``"shm"``) — surfaced by
-            ``--list-engines`` and the E13 per-backend rows.
     """
 
     name: str = ""
     protocol: str = DENSE
-    kernel: str = "numpy"
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
 
     # -- dense protocol -------------------------------------------------
 
@@ -110,26 +101,9 @@ class EngineBackend:
         """
 
 
-def split_engine_spec(spec: str) -> tuple[str, dict]:
-    """Split an engine spec into ``(name, params)``.
-
-    Engine specs use the same shorthand grammar as ``--probe`` /
-    ``--inject``: a bare registry name, or ``name:{json params}`` —
-    e.g. ``partitioned:{"workers": 4}``.  Validation sites check the
-    *name* half against :data:`ENGINES`; params go to the constructor.
-    """
-    return parse_spec_shorthand(spec, "engine")
-
-
-def create_engine(spec: str, **overrides) -> EngineBackend:
-    """Fresh backend instance for ``spec`` (raises on unknown names).
-
-    Accepts the ``name:{json}`` shorthand; keyword ``overrides`` win
-    over params embedded in the spec string.
-    """
-    name, params = split_engine_spec(spec)
-    params.update(overrides)
-    return ENGINES.create(name, **params)
+def create_engine(name: str) -> EngineBackend:
+    """Fresh backend instance for registry ``name`` (raises on unknown)."""
+    return ENGINES.create(name)
 
 
 def engine_names() -> list[str]:

@@ -33,7 +33,6 @@ class DenseEngine(EngineBackend):
 
     name = "dense"
     protocol = DENSE
-    kernel = "numpy"
 
     def __init__(self) -> None:
         # Keyed by the graph object, not id(graph): a freed graph's id
@@ -74,7 +73,6 @@ class StructuredEngine(EngineBackend):
 
     name = "structured"
     protocol = STRUCTURED
-    kernel = "numpy"
 
     def apply(self, graph, compact, loads: np.ndarray) -> np.ndarray:
         return compact.apply(graph, loads)

@@ -418,17 +418,8 @@ def estimate_memory_bytes(
     it (a SEND-style balancer on the dense engine builds none; for it
     the term is slack).
 
-    The **partitioned** backend adds per-graph state on top of the
-    structured estimate: the per-partition remapped adjacency and the
-    two rotor-position precomputes (three ``(n, d)`` int64 arrays
-    across all partitions) and the four length-``n`` shared-memory
-    round blocks (share/loads/rotors/extra).  Halo ghost slots are
-    cut-dependent and small for contiguous partitions of the standard
-    families; they are not counted.  Worker-side mirrors double the
-    partition state when processes are in use.
-
-    The regression suite pins the operator and partition terms against
-    measured ``nbytes`` of the real arrays at small ``n``.
+    The regression suite pins the operator term against measured
+    ``nbytes`` of the real arrays at small ``n``.
     """
     if degree is None:
         degree = max(1, d_plus // 2)
@@ -439,10 +430,6 @@ def estimate_memory_bytes(
         return dense
     if engine == "structured":
         return structured
-    if engine == "partitioned":
-        partition_state = 8 * n * degree * 3  # adj_local, pos_local/rev
-        round_blocks = 8 * 4 * n  # share/loads/rotors/extra in shm
-        return structured + partition_state + round_blocks
     raise ValueError(f"unknown engine {engine!r}")
 
 

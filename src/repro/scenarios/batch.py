@@ -36,7 +36,6 @@ from repro.core.probes import LOADS, Probe, build_probes, dense_required
 from repro.core.trace import RunRecord, build_record
 from repro.dynamics.spec import DynamicsSpec
 from repro.engines import ENGINES, STRUCTURED, create_engine, engine_names
-from repro.engines import split_engine_spec
 from repro.faults.schedules import (
     apply_round_faults,
     dense_port_values,
@@ -406,7 +405,7 @@ class BatchRunner:
 
     def _select_engine(self, engine: str) -> None:
         """Resolve ``engine`` and check its protocol against the run."""
-        if engine != "auto" and split_engine_spec(engine)[0] not in ENGINES:
+        if engine != "auto" and engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; registered engines: "
                 f"{', '.join(engine_names())} (or 'auto')"

@@ -53,7 +53,7 @@ from repro.core.monitors import LoadBoundsMonitor
 from repro.core.probes import Probe, ProbeSpec, build_probes, loads_only
 from repro.core.trace import RunRecord
 from repro.dynamics.spec import DynamicsSpec, as_injector
-from repro.engines import ENGINES, engine_names, split_engine_spec
+from repro.engines import ENGINES, engine_names
 from repro.faults.spec import FaultSpec, as_fault_schedule
 from repro.topology.spec import TopologySpec, as_topology_schedule
 from repro.graphs import families
@@ -450,10 +450,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if (
-            self.engine != "auto"
-            and split_engine_spec(self.engine)[0] not in ENGINES
-        ):
+        if self.engine != "auto" and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; registered engines: "
                 f"{', '.join(engine_names())} (or 'auto')"

@@ -1,7 +1,7 @@
 """Cross-backend bit-identity: every registered engine == dense.
 
 The acceptance property of the engine registry: for every backend in
-``ENGINES`` (not just the built-in three — third-party registrations are
+``ENGINES`` (not just the built-in two — third-party registrations are
 picked up automatically), the load trajectory is bit-identical to the
 dense reference on every standard graph family, through every execution
 path (looped, batched, ``run_until``), and with probes, dynamics,
@@ -26,6 +26,13 @@ from repro.topology import TopologySpec
 
 FAMILIES = {
     "cycle": lambda: families.cycle(15, num_self_loops=2),
+    # Odd n = 17 with two offsets: a 4-regular graph off the powers of 2.
+    "circulant": lambda: families.circulant(17, [1, 3]),
+    # d+^2 > n: default-order rotors take the positions path, not the
+    # per-state window tables.
+    "complete": lambda: families.complete(8),
+    "petersen": lambda: families.petersen(),
+    "ring_of_cliques": lambda: families.ring_of_cliques(4, 3),
     "torus": lambda: families.torus(4, 2),
     "hypercube": lambda: families.hypercube(4),
     "random_regular": lambda: families.random_regular(20, 4, seed=9),
@@ -416,3 +423,130 @@ def test_custom_port_order_looped_run_until_parity(engine):
     )
     assert reference.rounds_executed == candidate.rounds_executed
     assert reference.discrepancy_history == candidate.discrepancy_history
+
+
+# -- scripted churn and staggered early stopping -----------------------
+#
+# Hand-placed topology events whose timing matters: an edge dropped and
+# restored on both sides of a cycle, and a node that leaves and rejoins
+# while its neighbours still hold rotor state for it.
+
+
+def _final(graph, engine, *, algorithm="rotor_router", rounds=40,
+           topology=None, seed=31):
+    return Simulator(
+        graph,
+        make(algorithm),
+        _initial(graph, seed=seed),
+        topology=topology,
+        engine=engine,
+    ).run(rounds).final_loads
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_parity_scripted_edge_drop_and_restore(engine):
+    # Drop edges (7, 8) and (15, 0) of a 16-cycle, then restore them:
+    # each repair rewrites two adjacency rows and both rotors' ports.
+    graph = families.cycle(16)
+    spec = TopologySpec(
+        "scripted",
+        {
+            "events": [
+                ["drop", 4, 7, 8],
+                ["drop", 4, 15, 0],
+                ["add", 11, 7, 8],
+                ["add", 14, 15, 0],
+            ]
+        },
+    )
+    for algorithm in ("rotor_router", "send_floor"):
+        reference = _final(
+            graph, "dense", algorithm=algorithm, topology=spec
+        )
+        candidate = _final(
+            graph, engine, algorithm=algorithm, topology=spec
+        )
+        np.testing.assert_array_equal(reference, candidate)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_parity_scripted_node_leave_and_rejoin(engine):
+    # A leaving node hands its load to its neighbours; on rejoin its
+    # edges are re-created on both endpoints.
+    graph = families.cycle(16)
+    spec = TopologySpec(
+        "scripted",
+        {
+            "events": [
+                ["leave", 3, 8],
+                ["leave", 6, 0],
+                ["join", 9, 8, [7, 9]],
+                ["join", 12, 0, [15, 1]],
+            ]
+        },
+    )
+    for algorithm in ("rotor_router", "send_floor"):
+        reference = _final(
+            graph, "dense", algorithm=algorithm, topology=spec
+        )
+        candidate = _final(
+            graph, engine, algorithm=algorithm, topology=spec
+        )
+        np.testing.assert_array_equal(reference, candidate)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_parity_node_join_leave_schedule(family, engine):
+    graph = FAMILIES[family]()
+    spec = TopologySpec(
+        "node_join_leave",
+        {"rate": 0.08, "rejoin_after": 3, "seed": 5},
+    )
+    for algorithm in _algorithms(engine):
+        reference = _final(
+            graph, "dense", algorithm=algorithm, topology=spec,
+            rounds=30,
+        )
+        candidate = _final(
+            graph, engine, algorithm=algorithm, topology=spec,
+            rounds=30,
+        )
+        np.testing.assert_array_equal(reference, candidate)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_batched_run_until_staggered_thresholds_parity(engine):
+    # Staggered thresholds freeze replicas at different rounds, so the
+    # engine sees a shrinking set of live replicas.
+    graph = families.cycle(18)
+    replicas = 3
+    initial = _initial(graph, replicas, seed=11)
+    thresholds = [2, 6, 40]
+
+    def run(backend):
+        return BatchRunner(
+            graph,
+            [make("rotor_router") for _ in range(replicas)],
+            initial,
+            engine=backend,
+        ).run_until(
+            [
+                (lambda t: lambda v: int(v.max() - v.min()) <= t)(t)
+                for t in thresholds
+            ],
+            max_rounds=120,
+            check_every=2,
+        )
+
+    reference, candidate = run("dense"), run(engine)
+    np.testing.assert_array_equal(
+        reference.final_loads, candidate.final_loads
+    )
+    np.testing.assert_array_equal(
+        reference.rounds_executed, candidate.rounds_executed
+    )
+    np.testing.assert_array_equal(
+        reference.stopped_early, candidate.stopped_early
+    )
+    assert reference.histories == candidate.histories

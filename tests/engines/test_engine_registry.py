@@ -8,6 +8,8 @@ balancers and observers) hold for third-party backends exactly as they
 did for the two hard-coded engines.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ class DenseOnlyProbe(Probe):
 
 class TestRegistryContents:
     def test_builtin_backends_registered(self):
-        assert set(ENGINES) == {"dense", "structured", "partitioned"}
+        assert set(ENGINES) == {"dense", "structured"}
 
     def test_auto_is_a_policy_not_a_backend(self):
         assert "auto" not in ENGINES
@@ -78,14 +80,9 @@ class TestRegistryContents:
         assert a is not b
         assert a.name == "structured"
 
-    def test_protocols_and_kernels(self):
+    def test_protocols(self):
         assert create_engine("dense").protocol == DENSE
-        assert create_engine("dense").kernel == "numpy"
         assert create_engine("structured").protocol == STRUCTURED
-        assert create_engine("structured").kernel == "numpy"
-        partitioned = create_engine("partitioned")
-        assert partitioned.protocol == STRUCTURED
-        assert partitioned.kernel == "shm"
 
     def test_engine_names_sorted(self):
         assert list(engine_names()) == sorted(engine_names())
@@ -121,24 +118,27 @@ class TestUnknownEngine:
 
     def test_error_lists_registered_names(self):
         graph = _graph()
-        with pytest.raises(
-            ValueError, match="dense, partitioned, structured"
-        ):
+        with pytest.raises(ValueError, match="dense, structured"):
             Simulator(
                 graph, make("send_floor"), _loads(graph), engine="nope"
             )
 
-    @pytest.mark.parametrize("name", ["compiled", "spmm"])
+    @pytest.mark.parametrize(
+        "name",
+        ["compiled", "spmm", "partitioned", 'structured:{"workers": 2}'],
+    )
     @pytest.mark.parametrize(
         "surface", ["simulator", "batch_runner", "scenario", "cli"]
     )
     def test_removed_backends_are_unknown(self, surface, name):
-        """The deleted backends get the plain unknown-engine error."""
+        """Deleted backends and param-suffixed specs are unknown names.
+
+        An engine spec is a bare registry name: the old ``name:{json}``
+        params grammar fails at the boundary, not at run time.
+        """
         graph = _graph()
         loads = _loads(graph)
-        match = (
-            f"unknown engine {name!r}.*dense, partitioned, structured"
-        )
+        match = f"unknown engine {re.escape(repr(name))}.*dense, structured"
         with pytest.raises(ValueError, match=match):
             if surface == "simulator":
                 Simulator(graph, make("rotor_router"), loads, engine=name)
@@ -185,7 +185,7 @@ class TestProtocolConstraints:
         assert result.rounds_executed == 10
 
     def test_auto_ignores_optional_backends(self):
-        """Auto picks dense/structured only — never partitioned."""
+        """Auto picks dense/structured only — never a third-party backend."""
         graph = _graph()
         loads = _loads(graph)
         assert (
@@ -261,7 +261,6 @@ class TestThirdPartyBackend:
         @register_engine
         class EchoEngine(StructuredEngine):
             name = "echo_test"
-            kernel = "numpy"
 
         try:
             graph = _graph()

@@ -1,10 +1,9 @@
 """Per-graph backend caches never outlive, or get confused about, graphs.
 
 A backend instance caches per-graph operators (gather indices, CSR
-operators, partition state).  Keyed by ``id(graph)``, such a cache
-serves a freed graph's operator to a new graph that happens to reuse
-the id: the rounds it computes still conserve tokens, so no invariant
-fires.  One backend instance reused across many short-lived graphs must
+operators).  Keyed by ``id(graph)``, such a cache serves a freed
+graph's operator to a new graph that happens to reuse the id: the
+rounds it computes still conserve tokens, so no invariant fires.  One backend instance reused across many short-lived graphs must
 compute every round exactly as the numpy reference does.
 """
 

@@ -212,37 +212,3 @@ class TestMemoryEstimate:
             n, graph.total_degree, engine="structured", degree=d
         ) - 8 * n * (6 + d)
         assert estimated == measured
-
-    def test_partitioned_term_matches_state_nbytes(self):
-        import numpy as np
-
-        from repro.algorithms.registry import make
-        from repro.core.engine import Simulator
-        from repro.engines.partitioned import PartitionedEngine
-        from repro.graphs.balancing import estimate_memory_bytes
-
-        graph = self._graph()
-        loads = np.full(graph.num_nodes, 7, dtype=np.int64)
-        sim = Simulator(
-            graph,
-            make("rotor_router"),
-            loads,
-            engine='partitioned:{"workers": 2, "inline": true}',
-        )
-        sim.run(2)
-        engine = sim._runner._backend
-        assert isinstance(engine, PartitionedEngine)
-        state = engine._states[graph]
-        measured = sum(
-            halo.adj_local.nbytes for halo in state.book.halos
-        )
-        for pos in state.pos.values():
-            measured += sum(a.nbytes for a in pos.pos_local)
-            measured += sum(a.nbytes for a in pos.pos_rev)
-        n, d_plus = graph.num_nodes, graph.total_degree
-        estimated = estimate_memory_bytes(
-            n, d_plus, engine="partitioned", degree=graph.degree
-        ) - estimate_memory_bytes(n, d_plus, engine="structured")
-        # Contiguous cycle partitions: no ghost slots beyond the four
-        # round shm blocks the formula budgets on top of the arrays.
-        assert estimated == measured + 8 * 4 * n
