@@ -124,28 +124,40 @@ def _batch_scenario(algorithm: str) -> Scenario:
     )
 
 
+def _looped(scenario: Scenario, graph) -> list:
+    """The looped baseline: one Simulator per replica, same seeds."""
+    return [
+        Simulator(
+            graph,
+            scenario.build_balancer(replica),
+            scenario.build_loads(graph, replica),
+        ).run(BATCH_ROUNDS)
+        for replica in range(scenario.replicas)
+    ]
+
+
 @pytest.mark.parametrize("algorithm", ["send_floor", "send_rounded"])
-@pytest.mark.parametrize("executor", ["loop", "batch"])
-def test_replica_throughput(benchmark, batch_graph, algorithm, executor):
+@pytest.mark.parametrize("layout", ["loop", "batch"])
+def test_replica_throughput(benchmark, batch_graph, algorithm, layout):
     """Batched (replicas, n) execution vs the looped Simulator baseline."""
     scenario = _batch_scenario(algorithm)
 
     def run_once():
-        return scenario.run(executor=executor, graph=batch_graph)
+        if layout == "loop":
+            return _looped(scenario, batch_graph)
+        return scenario.run(graph=batch_graph).results
 
-    result = benchmark(run_once)
-    assert all(
-        r.final_loads.sum() == 64 * BATCH_N for r in result.results
-    )
+    results = benchmark(run_once)
+    assert all(r.final_loads.sum() == 64 * BATCH_N for r in results)
 
 
 @pytest.mark.parametrize("algorithm", ["send_floor", "send_rounded"])
 def test_batched_matches_looped(batch_graph, algorithm):
-    """Replica-for-replica parity of the two executors (same seeds)."""
+    """Replica-for-replica parity of the stack and the looped baseline."""
     scenario = _batch_scenario(algorithm)
-    looped = scenario.run(executor="loop", graph=batch_graph)
-    batched = scenario.run(executor="batch", graph=batch_graph)
-    for left, right in zip(looped.results, batched.results):
+    looped = _looped(scenario, batch_graph)
+    batched = scenario.run(graph=batch_graph)
+    for left, right in zip(looped, batched.results):
         np.testing.assert_array_equal(left.final_loads, right.final_loads)
         assert left.discrepancy_history == right.discrepancy_history
 

@@ -62,7 +62,7 @@ def scenario_api() -> None:
         replicas=8,
     )
     outcome = scenario.run()
-    print(f"\nscenario: {scenario.label()} ({outcome.executor} executor)")
+    print(f"\nscenario: {scenario.label()} ({len(outcome)} replicas)")
     print(f"final discrepancies: {outcome.final_discrepancies}")
 
     # Scenarios serialize to plain dicts/JSON (repro-lb scenario file.json).

@@ -228,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="JSON file (Scenario.to_dict / ScenarioSuite.to_dict)"
     )
     scenario_parser.add_argument(
-        "--executor",
-        choices=("auto", "loop", "batch"),
-        default="auto",
-        help="force an execution strategy (default: auto)",
-    )
-    scenario_parser.add_argument(
         "--json",
         metavar="PATH",
         help="also write per-replica summaries as JSON to PATH",
@@ -474,7 +468,7 @@ def _run_simulate(args) -> int:
     if args.replicas > 1:
         finals = outcome.final_discrepancies
         print(
-            f"replicas:   {args.replicas} ({outcome.executor} executor), "
+            f"replicas:   {args.replicas}, "
             f"final discrepancy {min(finals)}..{max(finals)}"
         )
     record = outcome.record(0)
@@ -527,7 +521,6 @@ def _run_scenario(args) -> int:
     runner = SuiteExecutor(
         workers=args.workers or args.global_workers or 1,
         cache=cache,
-        executor=args.executor,
         max_replicas_per_shard=args.max_replicas_per_shard,
         retry=args.retries,
         timeout=args.shard_timeout,
@@ -574,7 +567,6 @@ def _run_scenario(args) -> int:
                 {
                     "scenario": label,
                     "replica": replica,
-                    "executor": outcome.executor,
                     **outcome.replica_summary(replica),
                 }
             )

@@ -112,6 +112,7 @@ class Simulator:
             validate_every_round=validate_every_round,
             engine=engine,
         )
+        self._stopped_early = False
 
     engine = property(lambda self: self._runner.engine)
     graph = property(lambda self: self._runner.graph)
@@ -144,10 +145,12 @@ class Simulator:
 
     def step(self) -> np.ndarray:
         """Execute one synchronous round; returns the new load vector."""
+        self._stopped_early = False
         return self._runner.step()[0]
 
     def run(self, rounds: int) -> SimulationResult:
         """Execute ``rounds`` rounds."""
+        self._stopped_early = False
         return self._runner.run(rounds).replica(0)
 
     def run_until(
@@ -157,9 +160,11 @@ class Simulator:
         check_every: int = 1,
     ) -> SimulationResult:
         """Run until ``predicate(loads)`` holds or ``max_rounds`` elapse."""
-        return self._runner.run_until(
+        result = self._runner.run_until(
             [predicate], max_rounds, check_every
         ).replica(0)
+        self._stopped_early = result.stopped_early
+        return result
 
     def run_to_discrepancy(
         self, target: int, max_rounds: int, check_every: int = 1
@@ -172,9 +177,12 @@ class Simulator:
         )
 
     def record(self, replica: int = 0) -> RunRecord:
-        """Columnar record of the run so far, labelled ``replica``."""
+        """Columnar record of the run so far, labelled ``replica``; it
+        equals the record of the last ``run``/``run_until`` result."""
         runner = self._runner
-        record = runner._record(0, runner._histories(), False)
+        record = runner._record(
+            0, runner._histories(), self._stopped_early
+        )
         record.replica = replica
         return record
 

@@ -2,8 +2,8 @@
 
 Observers are capability-typed :class:`~repro.core.probes.Probe`\\ s
 declaring what they consume.  The recorders in this module consume only
-load vectors, so they ride the structured engine and the stacked batch
-executor at full speed.
+load vectors, so they ride the structured engine at full speed and let
+a multi-replica stack share one stateless balancer.
 """
 
 from __future__ import annotations

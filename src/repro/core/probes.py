@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.registry import Registry, freeze_params, parse_spec_shorthand
+from repro.registry import spec_fields
 
 #: Capability constants — what a probe consumes each round.
 LOADS = "loads"
@@ -209,6 +210,7 @@ class ProbeSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeSpec":
+        data = spec_fields(data, "probe")
         return cls(data["name"], dict(data.get("params", {})))
 
     @classmethod

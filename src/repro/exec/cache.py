@@ -2,7 +2,7 @@
 
 Deterministic load-balancing runs are bit-reproducible, so a shard's
 records are fully determined by its content hash (canonical scenario
-JSON + replica range + executor + package version — see
+JSON + replica range + package version — see
 :func:`repro.exec.sharding.shard_key`).  The cache persists each
 shard's :class:`~repro.core.trace.RunRecord`\\ s as one JSONL file
 under ``.repro-cache/``:

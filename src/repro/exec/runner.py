@@ -211,15 +211,11 @@ def _shard_task(payload: dict) -> dict:
     """
     scenario = Scenario.from_dict(payload["scenario"])
     result = scenario.run(
-        executor=payload["executor"],
         replica_range=range(
             payload["replica_start"], payload["replica_stop"]
         ),
     )
-    return {
-        "executor": result.executor,
-        "records": [record.to_dict() for record in result.records],
-    }
+    return {"records": [record.to_dict() for record in result.records]}
 
 
 def _proc_main(conn, payload: dict) -> None:
@@ -277,10 +273,6 @@ class SuiteExecutor:
         workers: process fan-out; 1 executes shards in-process
             (unless a ``timeout`` forces the killable worker pool).
         cache: a :class:`ResultCache`, a directory path, or None.
-        executor: per-replica execution strategy forwarded to
-            :meth:`Scenario.run` (``"auto"``/``"loop"``/``"batch"``).
-            Part of the cache key — forcing a different strategy never
-            reuses entries recorded under another one.
         max_replicas_per_shard: split scenario replica axes into
             chunks of at most this size (None = shard per scenario).
         retry: a :class:`~repro.exec.retry.RetryPolicy`, an attempt
@@ -304,7 +296,6 @@ class SuiteExecutor:
         self,
         workers: int = 1,
         cache: ResultCache | str | None = None,
-        executor: str = "auto",
         max_replicas_per_shard: int | None = None,
         retry: RetryPolicy | int | None = None,
         timeout: float | None = None,
@@ -312,8 +303,6 @@ class SuiteExecutor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in ("auto", "loop", "batch"):
-            raise ValueError(f"unknown executor {executor!r}")
         if timeout is not None and timeout <= 0:
             raise ValueError(
                 f"timeout must be positive, got {timeout}"
@@ -325,7 +314,6 @@ class SuiteExecutor:
             )
         self.workers = workers
         self.cache = as_cache(cache)
-        self.executor = executor
         self.max_replicas_per_shard = max_replicas_per_shard
         self.retry = as_retry_policy(retry)
         self.timeout = timeout
@@ -365,11 +353,7 @@ class SuiteExecutor:
         if cache is not None:
             try:
                 keys = [
-                    shard_key(
-                        scenarios[shard.scenario_index],
-                        shard,
-                        self.executor,
-                    )
+                    shard_key(scenarios[shard.scenario_index], shard)
                     for shard in shards
                 ]
             except TypeError as exc:
@@ -392,11 +376,7 @@ class SuiteExecutor:
                 continue
             cached += 1
             scenario = scenarios[shard.scenario_index]
-            parts[index] = _result_from_records(
-                scenario,
-                entry.records,
-                entry.meta.get("executor", "cached"),
-            )
+            parts[index] = _result_from_records(scenario, entry.records)
 
         if pending:
             if use_pool:
@@ -465,7 +445,6 @@ class SuiteExecutor:
                 "scenario": dicts[shard.scenario_index],
                 "replica_start": shard.replica_start,
                 "replica_stop": shard.replica_stop,
-                "executor": self.executor,
             }
             for shard in shards
         ]
@@ -477,7 +456,6 @@ class SuiteExecutor:
         shard: Shard,
         scenario: Scenario,
         records: list[RunRecord],
-        executor_used: str,
     ) -> None:
         if keys is None:
             return
@@ -485,7 +463,6 @@ class SuiteExecutor:
             keys[index],
             records,
             meta={
-                "executor": executor_used,
                 "scenario": shard.label(scenario),
                 "replicas": [shard.replica_start, shard.replica_stop],
             },
@@ -545,7 +522,6 @@ class SuiteExecutor:
             while True:
                 try:
                     result = scenario.run(
-                        executor=self.executor,
                         graph=shard_graph,
                         replica_range=shard.replica_range,
                     )
@@ -576,10 +552,7 @@ class SuiteExecutor:
             # spec.build() — a transient wrong answer must not become a
             # persistent one.  Spec-built graphs (graph_cache) are fine.
             if graph is None:
-                self._store(
-                    keys, index, shard, scenario, result.records,
-                    result.executor,
-                )
+                self._store(keys, index, shard, scenario, result.records)
 
     def _compute_pool(
         self, pending, shards, scenarios, payloads, keys, parts, failures
@@ -642,13 +615,8 @@ class SuiteExecutor:
                 RunRecord.from_dict(data)
                 for data in outcome["records"]
             ]
-            parts[index] = _result_from_records(
-                scenario, records, outcome["executor"]
-            )
-            self._store(
-                keys, index, shard, scenario, records,
-                outcome["executor"],
-            )
+            parts[index] = _result_from_records(scenario, records)
+            self._store(keys, index, shard, scenario, records)
 
         try:
             while queue or delayed or running:
@@ -757,16 +725,10 @@ class SuiteExecutor:
             if len(shard_ids) == 1:
                 outcomes.append(first)
                 continue
-            executors = {parts[i].executor for i in shard_ids}
             outcomes.append(
                 ScenarioResult(
                     scenario=scenario,
                     graph=first.graph,
-                    executor=(
-                        executors.pop()
-                        if len(executors) == 1
-                        else "mixed"
-                    ),
                     results=[
                         result
                         for i in shard_ids
@@ -783,12 +745,11 @@ class SuiteExecutor:
 
 
 def _result_from_records(
-    scenario: Scenario, records: list[RunRecord], executor_label: str
+    scenario: Scenario, records: list[RunRecord]
 ) -> ScenarioResult:
     return ScenarioResult(
         scenario=scenario,
         graph=None,
-        executor=executor_label,
         results=[RecordedRun(record) for record in records],
         probes=[() for _ in records],
     )
@@ -799,7 +760,6 @@ def run_suite(
     *,
     workers: int = 1,
     cache: ResultCache | str | None = None,
-    executor: str = "auto",
     max_replicas_per_shard: int | None = None,
     retry: RetryPolicy | int | None = None,
     timeout: float | None = None,
@@ -809,7 +769,6 @@ def run_suite(
     return SuiteExecutor(
         workers=workers,
         cache=cache,
-        executor=executor,
         max_replicas_per_shard=max_replicas_per_shard,
         retry=retry,
         timeout=timeout,

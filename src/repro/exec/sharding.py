@@ -100,7 +100,6 @@ class Shard:
 def shard_key(
     scenario: Scenario,
     shard: Shard,
-    executor: str = "auto",
     version: str | None = None,
     source: str | None = None,
 ) -> str:
@@ -109,9 +108,9 @@ def shard_key(
     The key covers everything that determines the resulting records:
     the canonical scenario JSON (graph, algorithm + seed, loads,
     stop rule, probe set, dynamics spec, replicas, recording flags),
-    the replica range, the requested executor, the package version,
-    and a fingerprint of the installed sources (so both released
-    engine changes *and* uncommitted development edits invalidate).
+    the replica range, the package version, and a fingerprint of the
+    installed sources (so both released engine changes *and*
+    uncommitted development edits invalidate).
     Any difference in any of these yields a different key — a cache
     hit is only possible for a bit-identical rerun.
 
@@ -123,7 +122,6 @@ def shard_key(
         {
             "scenario": scenario.to_dict(),
             "replicas": [shard.replica_start, shard.replica_stop],
-            "executor": executor,
             "version": version if version is not None else _package_version(),
             "source": source if source is not None else source_fingerprint(),
         }

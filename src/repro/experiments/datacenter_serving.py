@@ -212,7 +212,6 @@ def run_datacenter_serving(
                         )
                         / len(summaries)
                     ),
-                    "executor": outcome.executor,
                 }
             )
     return ExperimentResult(
@@ -235,7 +234,6 @@ def run_datacenter_serving(
             "peak_load",
             "host_mean_load",
             "tokens_injected_mean",
-            "executor",
         ],
         notes=[
             "offered is tokens per host per round in expectation; "

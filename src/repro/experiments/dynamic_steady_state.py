@@ -149,7 +149,6 @@ def run_dynamic_steady_state(
                                 "tokens_injected_mean": int(
                                     sum(injected) / len(injected)
                                 ),
-                                "executor": outcome.executor,
                             }
                         )
     return ExperimentResult(
@@ -169,7 +168,6 @@ def run_dynamic_steady_state(
             "steady_state",
             "steady_state_max",
             "tokens_injected_mean",
-            "executor",
         ],
         notes=[
             "steady_state is the tail-mean discrepancy averaged over "

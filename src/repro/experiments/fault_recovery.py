@@ -151,7 +151,6 @@ def run_fault_recovery(config: FaultRecoveryConfig) -> ExperimentResult:
                         "recovery_rounds": 0.0,
                         "recovered": config.replicas,
                         "edge_failures_mean": 0,
-                        "executor": baseline.executor,
                     }
                 )
                 for rate in config.fail_rates:
@@ -215,7 +214,6 @@ def run_fault_recovery(config: FaultRecoveryConfig) -> ExperimentResult:
                             "edge_failures_mean": int(
                                 sum(failures) / len(failures)
                             ),
-                            "executor": floor.executor,
                         }
                     )
     return ExperimentResult(
@@ -236,7 +234,6 @@ def run_fault_recovery(config: FaultRecoveryConfig) -> ExperimentResult:
             "recovery_rounds",
             "recovered",
             "edge_failures_mean",
-            "executor",
         ],
         notes=[
             "steady_floor is the tail-mean discrepancy with "

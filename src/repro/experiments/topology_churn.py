@@ -156,7 +156,6 @@ def run_topology_churn(config: TopologyChurnConfig) -> ExperimentResult:
                         "recovery_rounds": 0.0,
                         "recovered": config.replicas,
                         "edges_severed_mean": 0,
-                        "executor": baseline.executor,
                     }
                 )
                 for rate in config.churn_rates:
@@ -225,7 +224,6 @@ def run_topology_churn(config: TopologyChurnConfig) -> ExperimentResult:
                             "edges_severed_mean": int(
                                 sum(severed) / len(severed)
                             ),
-                            "executor": floor.executor,
                         }
                     )
     return ExperimentResult(
@@ -246,7 +244,6 @@ def run_topology_churn(config: TopologyChurnConfig) -> ExperimentResult:
             "recovery_rounds",
             "recovered",
             "edges_severed_mean",
-            "executor",
         ],
         notes=[
             "steady_floor is the tail-mean discrepancy with edge_churn "

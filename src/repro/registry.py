@@ -66,6 +66,25 @@ def parse_spec_shorthand(text: str, kind: str) -> tuple[str, dict]:
     return name, params
 
 
+def spec_fields(data, kind: str, required: tuple = ("name",)) -> dict:
+    """Check one serialized spec before reading it.
+
+    ``data`` must be a JSON object holding every ``required`` field,
+    and its ``params``, if any, a JSON object.  Returns ``data``;
+    raises a ``ValueError`` naming ``kind`` and the field otherwise.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{kind} is missing the field {key!r}")
+    if not isinstance(data.get("params", {}), dict):
+        raise ValueError(
+            f"{kind} params must be a JSON object, got {data['params']!r}"
+        )
+    return data
+
+
 class RegistryError(Exception):
     """Base class for registry failures."""
 

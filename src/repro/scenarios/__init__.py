@@ -1,9 +1,8 @@
 """Declarative scenario API: specs, suites, and the batch runner.
 
 This is the system's front door: describe *what to run* — graph family,
-initial workload, algorithm, stop rule, replicas — and let the runtime
-decide *how to execute it* (one simulator per replica or one stacked
-batch, both through the same round executor).  See
+initial workload, algorithm, stop rule, replicas — and every replica
+runs in one stacked batch through the round executor.  See
 :mod:`repro.scenarios.spec` for the data model and
 :mod:`repro.scenarios.batch` for the executor.
 """

@@ -246,8 +246,8 @@ class BatchRunner:
             replicas and evaluated over the whole stack).
         initial_loads: ``(replicas, n)`` nonnegative integer array.
         probes: one collection of probe specs, factories or instances
-            per replica.  A multi-replica stack carries loads-only
-            probes; a single replica also feeds sends consumers.
+            per replica.  Sends consumers need one balancer per
+            replica; a shared balancer carries loads-only probes.
         dynamics: optional dynamic workload: a
             :class:`~repro.dynamics.spec.DynamicsSpec` or injectors
             (see :class:`RoundPhase`).
@@ -354,14 +354,15 @@ class BatchRunner:
                 f"got {len(probes)} probe sets for {replicas} replicas"
             )
         self.probe_sets = [build_probes(spec) for spec in probes]
-        # A stack carries loads-only probes.
+        # A shared balancer sends for the whole stack in one call, so
+        # there is no per-replica round for a sends consumer to read.
         bad = [p for s in self.probe_sets for p in s if p.needs != LOADS]
-        if replicas > 1 and bad:
+        if self._shared and bad:
             raise ValueError(
-                f"probe {type(bad[0]).__name__} consumes sends matrices; "
-                "the vectorized batch runner only carries loads-only "
-                "probes — use the looped Simulator for sends-consuming "
-                "probes"
+                f"probe {type(bad[0]).__name__} consumes sends, but "
+                f"balancer {self.balancers[0].name!r} is shared across "
+                "replicas and sends for the whole stack at once; pass "
+                "one balancer per replica instead"
             )
         self._has_probes = any(self.probe_sets)
         self._requested_engine = engine
@@ -476,7 +477,7 @@ class BatchRunner:
         everyone = len(active) == self.num_replicas
         if self._shared:
             stack = before if everyone else before[active]
-            new, sends = self._advance(
+            new, _ = self._advance(
                 self.balancers[0], self.graph, stack, active
             )
         else:
@@ -491,8 +492,6 @@ class BatchRunner:
             ]
             rows = [row for row, _ in rounds]
             new = rows[0][None] if len(rows) == 1 else np.stack(rows)
-            # Sends consumers only ride single-replica runners.
-            sends = rounds[0][1]
         sums = new.sum(axis=1).tolist()
         expected = totals if everyone else [totals[r] for r in active]
         if sums != expected:
@@ -501,6 +500,23 @@ class BatchRunner:
                 f"round {self.round}: replica {active[bad]} token count "
                 f"changed from {expected[bad]} to {sums[bad]}"
             )
+        # Probes read ``before``, which the write-back below overwrites
+        # in place once some replicas are frozen: feed them first.
+        if self._has_probes:
+            t = self.round
+            for index, replica in enumerate(active):
+                after = new[index]
+                for probe in self.probe_sets[replica]:
+                    if probe.needs == LOADS:
+                        probe.observe_loads(t, after)
+                        continue
+                    sends = rounds[index][1]
+                    if self._structured:
+                        probe.observe_structured(
+                            t, before[replica], sends, after
+                        )
+                    else:
+                        probe.observe(t, before[replica], sends, after)
         self._steps += 1
         if everyone:
             self._loads = new
@@ -516,19 +532,6 @@ class BatchRunner:
                 ran = np.zeros(self.num_replicas, dtype=bool)
                 ran[active] = True
             self._ran.append(ran)
-        if self._has_probes:
-            t = self.round
-            for index, replica in enumerate(active):
-                after = new[index]
-                for probe in self.probe_sets[replica]:
-                    if probe.needs == LOADS:
-                        probe.observe_loads(t, after)
-                    elif self._structured:
-                        probe.observe_structured(
-                            t, before[replica], sends, after
-                        )
-                    else:
-                        probe.observe(t, before[replica], sends, after)
         self.round += 1
         return self._loads
 

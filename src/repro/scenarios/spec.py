@@ -19,15 +19,11 @@ Example::
     )
     result = scenario.run()
 
-Execution runs through the one round executor,
-:class:`~repro.scenarios.batch.BatchRunner`, in one of two layouts:
-``"loop"`` runs one :class:`~repro.core.engine.Simulator` (a 1-replica
-view of the executor) per replica, which sends-consuming probes
-require; ``"batch"`` stacks all replicas into one ``(replicas, n)``
-array.  Loads-only probes (:class:`~repro.core.probes.ProbeSpec`
-entries in :attr:`Scenario.probes`) ride both layouts — and the
-structured engine — without forcing the slow path.  Both layouts
-produce identical trajectories replica-for-replica.
+A scenario runs as one :class:`~repro.scenarios.batch.BatchRunner`
+stacking all its replicas into one ``(replicas, n)`` array.  Replica
+``r`` follows the same trajectory as a
+:class:`~repro.core.engine.Simulator` built from replica ``r``'s
+inputs, whatever its probes, dynamics, faults or topology.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import numpy as np
 
 from repro.algorithms.registry import make
 from repro.core.balancer import Balancer
-from repro.core.engine import SimulationResult, Simulator
+from repro.core.engine import SimulationResult
 from repro.core.loads import LOAD_SPECS
 from repro.core.metrics import (
     discrepancy,
@@ -52,13 +48,13 @@ from repro.core.metrics import (
 from repro.core.monitors import LoadBoundsMonitor
 from repro.core.probes import Probe, ProbeSpec, build_probes, loads_only
 from repro.core.trace import RunRecord
-from repro.dynamics.spec import DynamicsSpec, as_injector
+from repro.dynamics.spec import DynamicsSpec
 from repro.engines import ENGINES, engine_names
-from repro.faults.spec import FaultSpec, as_fault_schedule
-from repro.topology.spec import TopologySpec, as_topology_schedule
+from repro.faults.spec import FaultSpec
+from repro.topology.spec import TopologySpec
 from repro.graphs import families
 from repro.graphs.balancing import BalancingGraph
-from repro.registry import freeze_params as _freeze
+from repro.registry import freeze_params as _freeze, spec_fields
 from repro.scenarios.batch import BatchRunner
 
 STOP_KINDS = ("rounds", "target_discrepancy", "converged")
@@ -82,6 +78,14 @@ def content_hash(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def _check_type(spec, name: str, kind: type) -> None:
+    """Raise unless ``spec.<name>`` is exactly a ``kind``: a ``bool`` is
+    not an ``int`` here, nor a ``1`` a ``bool``."""
+    value = getattr(spec, name)
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """A graph family by name plus its construction parameters."""
@@ -100,6 +104,7 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphSpec":
+        data = spec_fields(data, "graph", ("family",))
         return cls(data["family"], dict(data.get("params", {})))
 
 
@@ -131,6 +136,7 @@ class LoadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoadSpec":
+        data = spec_fields(data, "loads")
         return cls(data["name"], dict(data.get("params", {})))
 
 
@@ -147,6 +153,9 @@ class AlgorithmSpec:
     seed: int = 0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        _check_type(self, "seed", int)
+
     def __hash__(self) -> int:
         return hash((self.name, self.seed, _freeze(self.params)))
 
@@ -162,9 +171,10 @@ class AlgorithmSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgorithmSpec":
+        data = spec_fields(data, "algorithm")
         return cls(
             data["name"],
-            int(data.get("seed", 0)),
+            data.get("seed", 0),
             dict(data.get("params", {})),
         )
 
@@ -273,7 +283,7 @@ class StopRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StopRule":
-        return cls(**data)
+        return cls(**spec_fields(data, "stop", ()))
 
 
 @dataclass
@@ -288,7 +298,6 @@ class ScenarioResult:
 
     scenario: "Scenario"
     graph: BalancingGraph | None
-    executor: str
     results: list[SimulationResult]
     probes: list[tuple]
 
@@ -367,7 +376,6 @@ class ScenarioResult:
             "scenario": self.scenario.name or self.scenario.label(),
             "graph": self._resolve_graph().name,
             "replicas": len(self.results),
-            "executor": self.executor,
             "final_discrepancy_min": min(finals),
             "final_discrepancy_max": max(finals),
             "final_discrepancy_mean": sum(finals) / len(finals),
@@ -393,16 +401,16 @@ class Scenario:
             replica: :class:`~repro.core.probes.ProbeSpec`\\ s (which
             serialize with the scenario) or probe factories (e.g. the
             class ``LoadBoundsMonitor`` itself; not serializable).
-            Loads-only probes keep multi-replica scenarios on the
-            vectorized batch executor and the structured engine;
-            sends-consuming probes fall back to the looped executor.
+            Loads-only probes let a stateless balancer be shared by
+            the whole stack; sends-consuming probes get one balancer
+            per replica.
         dynamics: optional dynamic workload — a
             :class:`~repro.dynamics.spec.DynamicsSpec` (serializes with
             the scenario; replica ``r`` gets a fresh injector built
             with ``seed + r``) or, for single-replica programmatic use,
             a ready :class:`~repro.dynamics.injectors.Injector`.
-            Injection is a vector add, so dynamic scenarios keep every
-            fast path (structured engine, batch executor).
+            Injection is a vector add, so dynamic scenarios keep the
+            structured engine.
         faults: optional network-fault schedule — a
             :class:`~repro.faults.spec.FaultSpec` (serializes with the
             scenario; replica ``r`` gets a fresh schedule built with
@@ -410,7 +418,7 @@ class Scenario:
             ready :class:`~repro.faults.schedules.FaultSchedule`.
             Fault corrections are sparse ``O(faults)`` fix-ups after
             the fault-free round, so faulty scenarios keep the
-            structured engine and the batch executor.
+            structured engine.
         topology: optional dynamic-topology schedule — a
             :class:`~repro.topology.spec.TopologySpec` (serializes with
             the scenario; replica ``r`` gets a fresh schedule built
@@ -419,10 +427,9 @@ class Scenario:
             :class:`~repro.topology.schedules.TopologySchedule`.  Each
             replica churns its own private mutable graph copy; the
             engines apply events incrementally, so churny scenarios
-            keep the structured engine and the batch executor (graphs
-            diverge per replica, so each replica runs its own
-            balancer).  Mutually
-            exclusive with ``faults``.
+            keep the structured engine (graphs diverge per replica, so
+            each replica runs its own balancer).  Mutually exclusive
+            with ``faults``.
         record_history: keep per-round discrepancy trajectories.
         validate_every_round: structural validation each round.
         name: optional label used in reports.
@@ -448,6 +455,9 @@ class Scenario:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
+        _check_type(self, "replicas", int)
+        _check_type(self, "record_history", bool)
+        _check_type(self, "validate_every_round", bool)
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.engine != "auto" and self.engine not in ENGINES:
@@ -618,12 +628,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        spec_fields(data, "scenario", ("graph", "algorithm", "loads", "stop"))
         return cls(
             graph=GraphSpec.from_dict(data["graph"]),
             algorithm=AlgorithmSpec.from_dict(data["algorithm"]),
             loads=LoadSpec.from_dict(data["loads"]),
             stop=StopRule.from_dict(data["stop"]),
-            replicas=int(data.get("replicas", 1)),
+            replicas=data.get("replicas", 1),
             probes=tuple(
                 ProbeSpec.from_dict(entry)
                 for entry in data.get("probes", [])
@@ -643,10 +654,8 @@ class Scenario:
                 if data.get("topology") is not None
                 else None
             ),
-            record_history=bool(data.get("record_history", True)),
-            validate_every_round=bool(
-                data.get("validate_every_round", True)
-            ),
+            record_history=data.get("record_history", True),
+            validate_every_round=data.get("validate_every_round", True),
             name=data.get("name", ""),
             engine=data.get("engine", "auto"),
         )
@@ -655,17 +664,12 @@ class Scenario:
 
     def run(
         self,
-        executor: str = "auto",
         graph: BalancingGraph | None = None,
         replica_range: range | None = None,
     ) -> ScenarioResult:
-        """Execute every replica and collect the results.
+        """Execute every replica as one :class:`BatchRunner` stack.
 
         Args:
-            executor: ``"loop"`` (one :class:`Simulator` per replica),
-                ``"batch"`` (stacked :class:`BatchRunner`), or
-                ``"auto"`` — batch for multi-replica scenarios whose
-                observers are loads-only probes, loop otherwise.
             graph: optional prebuilt graph (cache for sweeps that reuse
                 one graph across many scenarios).
             replica_range: execute only this absolute replica range
@@ -675,8 +679,6 @@ class Scenario:
                 shards produces bit-identical per-replica results —
                 the contract the parallel suite executor relies on.
         """
-        if executor not in ("auto", "loop", "batch"):
-            raise ValueError(f"unknown executor {executor!r}")
         if replica_range is None:
             replica_range = range(self.replicas)
         elif (
@@ -689,75 +691,17 @@ class Scenario:
                 f"replica_range {replica_range!r} must be a non-empty "
                 f"unit-step range within [0, {self.replicas})"
             )
-        probe_preview = self.build_probe_set()
-        if executor == "auto":
-            executor = (
-                "batch"
-                if self.replicas > 1 and loads_only(probe_preview)
-                else "loop"
-            )
-        if executor == "batch" and not loads_only(probe_preview):
-            bad = next(p for p in probe_preview if p.needs != "loads")
-            raise ValueError(
-                f"probe {type(bad).__name__} consumes sends "
-                "matrices and requires the looped executor "
-                "(run(executor='loop'))"
-            )
         graph = graph if graph is not None else self.build_graph()
-        if executor == "loop":
-            return self._run_looped(graph, replica_range)
-        return self._run_batched(graph, replica_range)
-
-    def _run_looped(
-        self, graph: BalancingGraph, replica_range: range
-    ) -> ScenarioResult:
-        results: list[SimulationResult] = []
-        probe_sets: list[tuple] = []
-        for replica in replica_range:
-            simulator = Simulator(
-                graph,
-                self.build_balancer(replica),
-                self.build_loads(graph, replica),
-                probes=self.build_probe_set(),
-                dynamics=as_injector(self.dynamics, replica),
-                faults=as_fault_schedule(self.faults, replica),
-                topology=as_topology_schedule(self.topology, replica),
-                record_history=self.record_history,
-                validate_every_round=self.validate_every_round,
-                engine=self.engine,
-            )
-            stop = self.stop
-            if stop.kind == "rounds":
-                result = simulator.run(stop.rounds)
-            else:
-                result = simulator.run_until(
-                    stop.predicate(),
-                    stop.max_rounds,
-                    check_every=stop.check_every,
-                )
-            if result.record is not None:
-                result.record.replica = replica
-            results.append(result)
-            probe_sets.append(simulator.probes)
-        return ScenarioResult(
-            scenario=self,
-            graph=graph,
-            executor="loop",
-            results=results,
-            probes=probe_sets,
-        )
-
-    def _run_batched(
-        self, graph: BalancingGraph, replica_range: range
-    ) -> ScenarioResult:
+        probe_sets = [self.build_probe_set() for _ in replica_range]
         first = self.build_balancer(replica_range.start)
         if (
             first.supports_batched_sends
             and first.properties.stateless
             and first.properties.deterministic
-            # Under topology churn every replica's graph diverges, so
-            # even stateless balancers need one instance per replica
-            # (each bound to its own mutating graph copy).
+            # Sends consumers read one replica's round, and under
+            # topology churn every replica's graph diverges: both need
+            # one balancer per replica.
+            and all(loads_only(probes) for probes in probe_sets)
             and self.topology is None
         ):
             balancers: list[Balancer] = [first]
@@ -767,34 +711,16 @@ class Scenario:
                 for replica in replica_range[1:]
             ]
         initial = np.stack(
-            [
-                self.build_loads(graph, replica)
-                for replica in replica_range
-            ]
+            [self.build_loads(graph, replica) for replica in replica_range]
         )
-        probe_sets = (
-            [self.build_probe_set() for _ in replica_range]
-            if self.probes
-            else None
+        # Schedules are built here with *absolute* replica indices so a
+        # replica sub-range sees the same seed offsets as a full run.
+        dynamics, faults, topology = (
+            [value.build(replica) for replica in replica_range]
+            if isinstance(value, (DynamicsSpec, FaultSpec, TopologySpec))
+            else value
+            for value in (self.dynamics, self.faults, self.topology)
         )
-        # Injectors and fault schedules are built here with *absolute*
-        # replica indices so a replica sub-range sees the same seed
-        # offsets as a full run.
-        dynamics = self.dynamics
-        if isinstance(dynamics, DynamicsSpec):
-            dynamics = [
-                dynamics.build(replica) for replica in replica_range
-            ]
-        faults = self.faults
-        if isinstance(faults, FaultSpec):
-            faults = [
-                faults.build(replica) for replica in replica_range
-            ]
-        topology = self.topology
-        if isinstance(topology, TopologySpec):
-            topology = [
-                topology.build(replica) for replica in replica_range
-            ]
         runner = BatchRunner(
             graph,
             balancers,
@@ -824,13 +750,8 @@ class Scenario:
         return ScenarioResult(
             scenario=self,
             graph=graph,
-            executor="batch",
             results=results,
-            probes=(
-                probe_sets
-                if probe_sets is not None
-                else [() for _ in replica_range]
-            ),
+            probes=runner.probe_sets,
         )
 
 
@@ -913,7 +834,6 @@ class ScenarioSuite:
 
     def run(
         self,
-        executor: str = "auto",
         graph: BalancingGraph | None = None,
         *,
         workers: int | None = None,
@@ -997,7 +917,6 @@ class ScenarioSuite:
             report = SuiteExecutor(
                 workers=workers,
                 cache=cache,
-                executor=executor,
                 max_replicas_per_shard=config.max_replicas_per_shard,
                 retry=retry,
                 timeout=timeout,
@@ -1031,9 +950,7 @@ class ScenarioSuite:
                         graph_cache[scenario.graph] = scenario_graph
                 except TypeError:  # unhashable custom param value
                     scenario_graph = None
-            results.append(
-                scenario.run(executor=executor, graph=scenario_graph)
-            )
+            results.append(scenario.run(graph=scenario_graph))
         return results
 
     def to_dict(self) -> dict:

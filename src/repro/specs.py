@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.registry import Registry, freeze_params, parse_spec_shorthand
+from repro.registry import spec_fields
 
 __all__ = ["RegistrySpec", "coerce_spec"]
 
@@ -78,6 +79,7 @@ class RegistrySpec:
 
     @classmethod
     def from_dict(cls, data: dict):
+        data = spec_fields(data, cls.kind)
         return cls(data["name"], dict(data.get("params", {})))
 
     @classmethod

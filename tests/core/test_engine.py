@@ -249,6 +249,18 @@ class TestRunUntil:
         assert result.stopped_early
         assert result.final_discrepancy <= 10
 
+    def test_record_matches_run_until_result(self):
+        loads = np.zeros(16, dtype=np.int64)
+        loads[0] = 1600
+        simulator = Simulator(families.cycle(16), RotorRouter(), loads)
+        result = simulator.run_to_discrepancy(4, 500)
+        assert result.record.stopped_early
+        assert simulator.record().to_dict() == result.record.to_dict()
+        # A later fixed-round run is not an early stop.
+        result = simulator.run(3)
+        assert not simulator.record().stopped_early
+        assert simulator.record().to_dict() == result.record.to_dict()
+
     def test_run_until_immediate(self, expander24):
         simulator = Simulator(
             expander24, SendFloor(), np.ones(24, dtype=np.int64)

@@ -3,7 +3,7 @@ under topology churn.
 
 The acceptance property of the dynamic-topology subsystem: with a
 topology schedule attached, every execution path — looped dense,
-looped structured, the stacked batch runner, the scenario executors,
+looped structured, the stacked batch runner, ``Scenario.run``,
 ``run_until``, with and without probes — produces bit-identical load
 trajectories replica-for-replica, and all of them match the
 rebuild-from-scratch reference implementation in
@@ -35,7 +35,12 @@ from repro.scenarios.batch import BatchRunner
 from repro.topology import TOPOLOGIES, TopologySpec
 from tests.differential.reference_churn import ReferenceChurnSimulator
 from tests.differential.strategies import topology_specs
-from tests.helpers import balancing_graphs, load_vectors
+from tests.helpers import (
+    assert_same_results,
+    balancing_graphs,
+    load_vectors,
+    run_per_replica,
+)
 
 FAMILIES = {
     "cycle": lambda: families.cycle(15),
@@ -302,7 +307,8 @@ def test_run_until_parity_under_churn():
 
 
 def test_scenario_executor_parity_with_topology():
-    """Scenario loop vs batch executors agree replica-for-replica."""
+    """A scenario stack matches per-replica Simulators, replica for
+    replica."""
     scenario = Scenario(
         graph=GraphSpec("fat_tree", {"k": 4}),
         algorithm=AlgorithmSpec("send_floor"),
@@ -315,15 +321,9 @@ def test_scenario_executor_parity_with_topology():
             "edge_churn", {"rate": 0.15, "downtime": 3, "seed": 4}
         ),
     )
-    looped = scenario.run(executor="loop")
-    batched = scenario.run(executor="batch")
-    assert batched.executor == "batch"
-    for left, right in zip(looped.results, batched.results):
-        np.testing.assert_array_equal(
-            left.final_loads, right.final_loads
-        )
-        assert left.discrepancy_history == right.discrepancy_history
-        assert left.record.summary == right.record.summary
+    looped = run_per_replica(scenario)
+    batched = scenario.run()
+    assert_same_results(looped, batched)
     assert looped.replica_summary(2) == batched.replica_summary(2)
 
 

@@ -99,11 +99,10 @@ def test_structured_matches_reference_on_leaf_spine(algorithm):
 
 
 def test_batched_scenario_matches_reference_on_leaf_spine():
-    """The scenario batch executor against the per-token loops.
+    """A scenario's replica stack against the per-token loops.
 
-    Multi-replica loads-only scenarios resolve to the batch executor;
-    each replica must still equal a naive solo run with the replica's
-    offset seed applied to both loads and dynamics.
+    Each replica must equal a naive solo run with the replica's offset
+    seed applied to both loads and dynamics.
     """
     spec = GraphSpec(
         "leaf_spine", {"leaves": 4, "spines": 2, "hosts_per_leaf": 3}
@@ -117,7 +116,7 @@ def test_batched_scenario_matches_reference_on_leaf_spine():
         stop=StopRule.fixed(25),
         replicas=3,
         dynamics=dynamics,
-    ).run(executor="batch")
+    ).run()
     graph = spec.build()
     for replica in range(3):
         slow = ReferenceDynamicSimulator(

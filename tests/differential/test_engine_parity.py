@@ -26,7 +26,12 @@ from repro.scenarios import (
 )
 from repro.scenarios.batch import BatchRunner
 from tests.differential.strategies import dynamics_specs
-from tests.helpers import balancing_graphs, load_vectors
+from tests.helpers import (
+    assert_same_results,
+    balancing_graphs,
+    load_vectors,
+    run_per_replica,
+)
 
 FAMILIES = {
     "cycle": lambda: families.cycle(15),
@@ -232,7 +237,8 @@ def test_sends_probe_parity_with_dynamics():
 
 
 def test_scenario_executor_parity_with_dynamics():
-    """Scenario loop vs batch executors agree replica-for-replica."""
+    """A scenario stack matches per-replica Simulators, replica for
+    replica."""
     scenario = Scenario(
         graph=GraphSpec("torus", {"side": 4, "dimensions": 2}),
         algorithm=AlgorithmSpec("send_floor"),
@@ -241,15 +247,9 @@ def test_scenario_executor_parity_with_dynamics():
         replicas=4,
         dynamics=DynamicsSpec("random_churn", {"rate": 9, "seed": 12}),
     )
-    looped = scenario.run(executor="loop")
-    batched = scenario.run(executor="batch")
-    assert batched.executor == "batch"
-    for left, right in zip(looped.results, batched.results):
-        np.testing.assert_array_equal(
-            left.final_loads, right.final_loads
-        )
-        assert left.discrepancy_history == right.discrepancy_history
-        assert left.record.summary == right.record.summary
+    looped = run_per_replica(scenario)
+    batched = scenario.run()
+    assert_same_results(looped, batched)
     assert looped.replica_summary(2) == batched.replica_summary(2)
 
 

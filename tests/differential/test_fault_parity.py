@@ -3,7 +3,7 @@ under network faults.
 
 The acceptance property of the fault-injection subsystem: with a fault
 schedule attached, every execution path — looped dense, looped
-structured, the stacked batch runner, the scenario executors, with and
+structured, the stacked batch runner, ``Scenario.run``, with and
 without probes — produces bit-identical load trajectories
 replica-for-replica, and all of them match the per-port reference
 implementation in :mod:`tests.differential.reference_faults`.
@@ -34,7 +34,12 @@ from repro.scenarios import (
 from repro.scenarios.batch import BatchRunner
 from tests.differential.reference_faults import ReferenceFaultySimulator
 from tests.differential.strategies import fault_specs
-from tests.helpers import balancing_graphs, load_vectors
+from tests.helpers import (
+    assert_same_results,
+    balancing_graphs,
+    load_vectors,
+    run_per_replica,
+)
 
 FAMILIES = {
     "cycle": lambda: families.cycle(15),
@@ -232,7 +237,8 @@ def test_faults_compose_with_dynamics():
 
 
 def test_scenario_executor_parity_with_faults():
-    """Scenario loop vs batch executors agree replica-for-replica."""
+    """A scenario stack matches per-replica Simulators, replica for
+    replica."""
     scenario = Scenario(
         graph=GraphSpec("fat_tree", {"k": 4}),
         algorithm=AlgorithmSpec("send_floor"),
@@ -243,15 +249,9 @@ def test_scenario_executor_parity_with_faults():
         replicas=4,
         faults=FaultSpec("link_failures", {"rate": 0.25, "seed": 4}),
     )
-    looped = scenario.run(executor="loop")
-    batched = scenario.run(executor="batch")
-    assert batched.executor == "batch"
-    for left, right in zip(looped.results, batched.results):
-        np.testing.assert_array_equal(
-            left.final_loads, right.final_loads
-        )
-        assert left.discrepancy_history == right.discrepancy_history
-        assert left.record.summary == right.record.summary
+    looped = run_per_replica(scenario)
+    batched = scenario.run()
+    assert_same_results(looped, batched)
     assert looped.replica_summary(2) == batched.replica_summary(2)
 
 

@@ -36,6 +36,7 @@ from repro.scenarios import (
     StopRule,
 )
 from repro.scenarios.batch import BatchRunner
+from tests.helpers import run_per_replica
 
 
 def _graph():
@@ -245,12 +246,13 @@ class TestScenarioSerialization:
             != _scenario().content_hash()
         )
 
-    @pytest.mark.parametrize("executor", ["loop", "batch"])
-    def test_scenario_runs_named_engine(self, executor):
-        scenario = _scenario("structured")
-        reference = _scenario("dense")
-        got = scenario.run(executor=executor)
-        want = reference.run(executor=executor)
+    # "loop" is the per-replica Simulator reference, "batch" the stack.
+    @pytest.mark.parametrize(
+        "run", [run_per_replica, Scenario.run], ids=["loop", "batch"]
+    )
+    def test_scenario_runs_named_engine(self, run):
+        got = run(_scenario("structured"))
+        want = run(_scenario("dense"))
         np.testing.assert_array_equal(
             got.results[0].final_loads, want.results[0].final_loads
         )

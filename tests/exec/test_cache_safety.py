@@ -40,9 +40,9 @@ def _base_scenario() -> Scenario:
     )
 
 
-def _key(scenario: Scenario, executor: str = "auto") -> str:
+def _key(scenario: Scenario) -> str:
     suite = ScenarioSuite((scenario,))
-    return shard_key(scenario, plan_shards(suite)[0], executor)
+    return shard_key(scenario, plan_shards(suite)[0])
 
 
 class TestKeySensitivity:
@@ -119,24 +119,19 @@ class TestKeySensitivity:
         )
         assert _key(other_schedule) != _key(churned)
 
-    def test_executor_choice_changes_key(self):
-        scenario = _base_scenario()
-        assert _key(scenario, "loop") != _key(scenario, "batch")
-        assert _key(scenario, "auto") != _key(scenario, "loop")
-
     def test_package_version_changes_key(self):
         scenario = _base_scenario()
         suite = ScenarioSuite((scenario,))
         shard = plan_shards(suite)[0]
-        v1 = shard_key(scenario, shard, "auto", version="1.0.0")
-        v2 = shard_key(scenario, shard, "auto", version="1.0.1")
+        v1 = shard_key(scenario, shard, version="1.0.0")
+        v2 = shard_key(scenario, shard, version="1.0.1")
         assert v1 != v2
 
     def test_replicas_change_key(self):
         changed = replace(_base_scenario(), replicas=3)
         suite = ScenarioSuite((changed,))
         assert (
-            shard_key(changed, plan_shards(suite)[0], "auto")
+            shard_key(changed, plan_shards(suite)[0])
             != _key(_base_scenario())
         )
 
@@ -171,7 +166,7 @@ class TestNonJsonParamsCannotBeCached:
         scenario = self._array_scenario()
         suite = ScenarioSuite((scenario,))
         with pytest.raises(TypeError):
-            shard_key(scenario, plan_shards(suite)[0], "auto")
+            shard_key(scenario, plan_shards(suite)[0])
 
     def test_executor_surfaces_a_clear_error(self, tmp_path):
         suite = ScenarioSuite((self._array_scenario(),))
@@ -184,8 +179,8 @@ class TestSourceFingerprint:
         scenario = _base_scenario()
         suite = ScenarioSuite((scenario,))
         shard = plan_shards(suite)[0]
-        a = shard_key(scenario, shard, "auto", source="aaa")
-        b = shard_key(scenario, shard, "auto", source="bbb")
+        a = shard_key(scenario, shard, source="aaa")
+        b = shard_key(scenario, shard, source="bbb")
         assert a != b
 
     def test_fingerprint_tracks_source_contents(self, tmp_path):

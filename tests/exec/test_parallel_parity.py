@@ -9,6 +9,8 @@ arbitrary_rounding_fixed is dense-only), with probes and dynamics
 attached throughout.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec import (
@@ -21,12 +23,14 @@ from repro.scenarios import (
     AlgorithmSpec,
     GraphSpec,
     LoadSpec,
+    ProbeSpec,
     Scenario,
     ScenarioSuite,
     StopRule,
 )
 
 from tests.exec.factories import canonical_records, make_suite
+from tests.helpers import run_per_replica
 
 
 class TestWorkerParity:
@@ -61,12 +65,25 @@ class TestWorkerParity:
         )
         assert canonical_records(report.outcomes) == serial_records
 
-    def test_executor_labels_match_serial(self, suite):
-        # Multi-replica loads-only scenarios resolve to the batch
-        # executor on both paths.
-        serial = [outcome.executor for outcome in suite.run()]
-        report = run_suite(suite, workers=2)
-        assert [o.executor for o in report.outcomes] == serial
+    def test_serial_matches_per_replica_simulators(
+        self, suite, serial_records
+    ):
+        assert serial_records == canonical_records(
+            [run_per_replica(scenario) for scenario in suite]
+        )
+
+    def test_sends_probes_parallel_parity(self):
+        suite = make_suite(name="exec-parity-sends")
+        suite = ScenarioSuite(
+            tuple(
+                replace(scenario, probes=(ProbeSpec("flows"),))
+                for scenario in suite
+            )
+        )
+        report = run_suite(suite, workers=2, max_replicas_per_shard=1)
+        assert canonical_records(report.outcomes) == canonical_records(
+            [run_per_replica(scenario) for scenario in suite]
+        )
 
     def test_replica_summaries_match_serial(self, suite):
         serial = [
@@ -118,9 +135,6 @@ class TestCachedReplayParity:
             for replica in range(len(outcome))
         ]
         assert rows(replay) == rows(first)
-        assert [o.executor for o in replay.outcomes] == [
-            o.executor for o in first.outcomes
-        ]
 
 
 class TestSuiteRunRouting:

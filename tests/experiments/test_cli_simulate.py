@@ -214,6 +214,54 @@ class TestScenarioCommand:
         assert len(rows) == 1
         assert rows[0]["final_discrepancy"] <= 80
 
+    def test_sends_probes_on_replicas_match_per_replica_runs(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.scenarios import (
+            AlgorithmSpec,
+            GraphSpec,
+            LoadSpec,
+            ProbeSpec,
+            Scenario,
+            StopRule,
+        )
+        from tests.helpers import run_per_replica
+
+        scenario = Scenario(
+            graph=GraphSpec("cycle", {"n": 12}),
+            algorithm=AlgorithmSpec("send_floor"),
+            loads=LoadSpec(
+                "uniform_random", {"total_tokens": 240, "seed": 5}
+            ),
+            stop=StopRule.discrepancy(target=3, max_rounds=60),
+            replicas=3,
+            probes=(ProbeSpec("flows"), ProbeSpec("fairness")),
+        )
+        spec_path = tmp_path / "sends.json"
+        spec_path.write_text(json.dumps(scenario.to_dict()))
+        out_path = tmp_path / "rows.json"
+        code = main(
+            [
+                "scenario", str(spec_path), "--no-cache",
+                "--json", str(out_path),
+            ]
+        )
+        assert code == 0
+        reference = run_per_replica(scenario)
+        want = [
+            {
+                "scenario": scenario.label(),
+                "replica": replica,
+                **reference.replica_summary(replica),
+            }
+            for replica in range(3)
+        ]
+        assert json.loads(out_path.read_text()) == json.loads(
+            json.dumps(want, default=str)
+        )
+
     def test_replicas_flag(self, capsys):
         code = main(
             [
@@ -231,7 +279,7 @@ class TestScenarioCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "replicas:   3 (batch executor)" in out
+        assert "replicas:   3, final discrepancy" in out
 
 
 class TestSimulateProbes:
@@ -290,7 +338,7 @@ class TestSimulateProbes:
             ]
         )
         assert code == 0
-        assert "(batch executor)" in capsys.readouterr().out
+        assert "replicas:   3, final discrepancy" in capsys.readouterr().out
 
     def test_trace_csv(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
@@ -369,7 +417,7 @@ class TestSimulateDynamics:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "(batch executor)" in out
+        assert "replicas:   3, final discrepancy" in out
         assert "tokens_departed" in out
         assert "min_load" in out
 

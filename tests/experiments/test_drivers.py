@@ -232,8 +232,8 @@ class TestDynamicSteadyState:
 
 
 class TestDatacenterServing:
-    @pytest.fixture(scope="class")
-    def result(self):
+    @staticmethod
+    def _run():
         from repro.experiments import (
             DatacenterServingConfig,
             run_datacenter_serving,
@@ -257,6 +257,10 @@ class TestDatacenterServing:
                 replicas=2,
             )
         )
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return self._run()
 
     def test_grid_is_complete(self, result):
         assert {row["fabric"] for row in result.rows} == {
@@ -285,8 +289,18 @@ class TestDatacenterServing:
                 }
                 assert injected[8.0] > injected[1.0] > 0
 
-    def test_loads_only_grid_rides_the_batch_executor(self, result):
-        assert all(row["executor"] == "batch" for row in result.rows)
+    def test_rows_match_per_replica_simulators(self, result, monkeypatch):
+        from repro.scenarios import ScenarioSuite
+        from tests.helpers import run_per_replica
+
+        monkeypatch.setattr(
+            ScenarioSuite,
+            "run",
+            lambda suite, *args, **kwargs: [
+                run_per_replica(scenario) for scenario in suite
+            ],
+        )
+        assert self._run().rows == result.rows
 
     def test_renders(self, result):
         assert "steady_state" in result.to_text()

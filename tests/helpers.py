@@ -20,7 +20,11 @@ from repro.core.fairness import (
 )
 from repro.core.flows import FlowTracker
 from repro.core.monitors import LoadBoundsMonitor
+from repro.dynamics.spec import as_injector
+from repro.faults.spec import as_fault_schedule
 from repro.graphs import families
+from repro.scenarios.spec import ScenarioResult
+from repro.topology.spec import as_topology_schedule
 
 
 def run_monitored(
@@ -43,6 +47,63 @@ def run_monitored(
     )
     result = simulator.run(rounds)
     return result, classify_run(fairness, cumulative), flows, bounds
+
+
+def run_per_replica(scenario, graph=None, replica_range=None) -> ScenarioResult:
+    """Reference for :meth:`Scenario.run`: one :class:`Simulator` per
+    replica, built from that replica's seeds, probes and schedules.
+
+    ``Scenario.run`` runs every replica in one stack; each replica must
+    match its own ``Simulator`` here, record for record.
+    """
+    graph = graph if graph is not None else scenario.build_graph()
+    if replica_range is None:
+        replica_range = range(scenario.replicas)
+    results: list[SimulationResult] = []
+    probe_sets: list[tuple] = []
+    for replica in replica_range:
+        simulator = Simulator(
+            graph,
+            scenario.build_balancer(replica),
+            scenario.build_loads(graph, replica),
+            probes=scenario.build_probe_set(),
+            dynamics=as_injector(scenario.dynamics, replica),
+            faults=as_fault_schedule(scenario.faults, replica),
+            topology=as_topology_schedule(scenario.topology, replica),
+            record_history=scenario.record_history,
+            validate_every_round=scenario.validate_every_round,
+            engine=scenario.engine,
+        )
+        stop = scenario.stop
+        if stop.kind == "rounds":
+            result = simulator.run(stop.rounds)
+        else:
+            result = simulator.run_until(
+                stop.predicate(),
+                stop.max_rounds,
+                check_every=stop.check_every,
+            )
+        if result.record is not None:
+            result.record.replica = replica
+        results.append(result)
+        probe_sets.append(simulator.probes)
+    return ScenarioResult(
+        scenario=scenario, graph=graph, results=results, probes=probe_sets
+    )
+
+
+def assert_same_results(left: ScenarioResult, right: ScenarioResult) -> None:
+    """Replica-for-replica equality of two scenario outcomes: final
+    loads, rounds, early stops, histories and canonical records."""
+    assert len(left.results) == len(right.results)
+    for a, b in zip(left.results, right.results):
+        np.testing.assert_array_equal(a.final_loads, b.final_loads)
+        assert a.rounds_executed == b.rounds_executed
+        assert a.stopped_early == b.stopped_early
+        assert a.discrepancy_history == b.discrepancy_history
+        assert (a.record is None) == (b.record is None)
+        if a.record is not None:
+            assert a.record.to_dict() == b.record.to_dict()
 
 
 def assert_conserved(result: SimulationResult) -> None:

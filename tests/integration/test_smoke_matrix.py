@@ -1,14 +1,13 @@
-"""Exhaustive smoke matrix: probe × engine × executor.
+"""Exhaustive smoke matrix: probe × engine × layout.
 
 Every registered probe must run under every engine (``dense`` /
-``structured`` / ``auto``) and under both executors (looped Simulator
-vs batched replicas) without error — or fail with the documented
-capability error — and all paths that do run must agree on the probe's
-scalar summary.  This is the guard that keeps fast-path engineering
-honest as probes and engines grow.
+``structured`` / ``auto``) and in a multi-replica scenario stack
+(checked against one looped Simulator per replica) without error — or
+fail with the documented capability error — and all paths that do run
+must agree on the probe's output.  This is the guard that keeps
+fast-path engineering honest as probes and engines grow.
 """
 
-import numpy as np
 import pytest
 
 from repro.algorithms.registry import make
@@ -24,6 +23,7 @@ from repro.scenarios import (
     Scenario,
     StopRule,
 )
+from tests.helpers import assert_same_results, run_per_replica
 
 ENGINES = ("dense", "structured", "auto")
 ROUNDS = 25
@@ -53,10 +53,6 @@ def _loads(n):
 def _dense_required(name: str) -> bool:
     probe = _spec(name).build()
     return probe.needs != "loads" and not probe.accepts_structured
-
-
-def _loads_only(name: str) -> bool:
-    return _spec(name).build().needs == "loads"
 
 
 def test_registry_is_nonempty():
@@ -97,7 +93,8 @@ def test_probe_runs_on_every_engine_and_agrees(probe_name):
 
 @pytest.mark.parametrize("probe_name", PROBES.names())
 def test_probe_looped_vs_batched(probe_name):
-    """Scenario executors agree for loads-only probes; others refuse."""
+    """A scenario stack matches looped per-replica Simulators, record
+    for record, for every probe (sends consumers included)."""
     scenario = Scenario(
         graph=GraphSpec("torus", {"side": 4, "dimensions": 2}),
         algorithm=AlgorithmSpec("send_floor"),
@@ -106,23 +103,7 @@ def test_probe_looped_vs_batched(probe_name):
         replicas=2,
         probes=(_spec(probe_name),),
     )
-    if not _loads_only(probe_name):
-        with pytest.raises(ValueError, match="looped"):
-            scenario.run(executor="batch")
-        looped = scenario.run(executor="loop")
-        assert len(looped.results) == 2
-        return
-    looped = scenario.run(executor="loop")
-    batched = scenario.run(executor="batch")
-    for replica in range(2):
-        np.testing.assert_array_equal(
-            looped.replica(replica).final_loads,
-            batched.replica(replica).final_loads,
-        )
-        assert (
-            looped.record(replica).summary
-            == batched.record(replica).summary
-        )
+    assert_same_results(scenario.run(), run_per_replica(scenario))
 
 
 @pytest.mark.parametrize("probe_name", PROBES.names())

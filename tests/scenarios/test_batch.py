@@ -1,10 +1,11 @@
-"""Batch-vs-looped parity: the core guarantee of the vectorized runner.
+"""Stack-vs-looped parity: the core guarantee of the vectorized runner.
 
-The property test drives both executors of the same scenario (same
-seeds, same graph) and requires identical trajectories replica for
-replica — across deterministic stateless schemes (fully vectorized
-path), stateful rotor-routers, and randomized baselines (per-replica
-fallback path).
+The property test runs a scenario as its one replica stack and as one
+looped :class:`~repro.core.engine.Simulator` per replica (same seeds,
+same graph) and requires identical trajectories and records replica
+for replica — across deterministic stateless schemes (one shared
+balancer), stateful rotor-routers, randomized baselines and
+sends-consuming probes (one balancer per replica).
 """
 
 import numpy as np
@@ -18,9 +19,11 @@ from repro.scenarios import (
     BatchRunner,
     GraphSpec,
     LoadSpec,
+    ProbeSpec,
     Scenario,
     StopRule,
 )
+from tests.helpers import assert_same_results, run_per_replica
 
 PARITY_ALGORITHMS = (
     "send_floor",
@@ -35,15 +38,11 @@ PARITY_ALGORITHMS = (
 
 
 def assert_parity(scenario: Scenario, graph=None) -> None:
-    looped = scenario.run(executor="loop", graph=graph)
-    batched = scenario.run(executor="batch", graph=graph)
-    assert looped.executor == "loop" and batched.executor == "batch"
+    looped = run_per_replica(scenario, graph=graph)
+    batched = scenario.run(graph=graph)
     for left, right in zip(looped.results, batched.results):
         np.testing.assert_array_equal(left.initial_loads, right.initial_loads)
-        np.testing.assert_array_equal(left.final_loads, right.final_loads)
-        assert left.discrepancy_history == right.discrepancy_history
-        assert left.rounds_executed == right.rounds_executed
-        assert left.stopped_early == right.stopped_early
+    assert_same_results(looped, batched)
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,6 +96,54 @@ def test_parity_under_converged_stop_rule():
         replicas=2,
     )
     assert_parity(scenario)
+
+
+def _staggered_sends_scenario(engine: str) -> Scenario:
+    return Scenario(
+        graph=GraphSpec("cycle", {"n": 16}),
+        algorithm=AlgorithmSpec("send_floor"),
+        loads=LoadSpec("uniform_random", {"total_tokens": 800, "seed": 4}),
+        stop=StopRule.discrepancy(target=3, max_rounds=200),
+        replicas=4,
+        probes=(
+            ProbeSpec("flows"),
+            ProbeSpec("fairness"),
+            ProbeSpec("cumulative_fairness"),
+        ),
+        engine=engine,
+    )
+
+
+@pytest.mark.parametrize("engine", ["dense", "structured"])
+def test_sends_probes_under_staggered_stops(engine):
+    """Replicas that stop at different rounds keep feeding their sends
+    probes the right round; frozen rows are never observed."""
+    scenario = _staggered_sends_scenario(engine)
+    batched = scenario.run()
+    assert len({r.rounds_executed for r in batched.results}) > 1
+    assert all(r.stopped_early for r in batched.results)
+    assert_same_results(run_per_replica(scenario), batched)
+
+
+@pytest.mark.parametrize("engine", ["dense", "structured"])
+def test_runner_with_per_replica_balancers_carries_sends_probes(engine):
+    scenario = _staggered_sends_scenario(engine)
+    graph = scenario.build_graph()
+    replicas = range(scenario.replicas)
+    runner = BatchRunner(
+        graph,
+        [scenario.build_balancer(r) for r in replicas],
+        np.stack([scenario.build_loads(graph, r) for r in replicas]),
+        probes=[scenario.build_probe_set() for _ in replicas],
+        engine=engine,
+    )
+    stop = scenario.stop
+    batch = runner.run_until(
+        [stop.predicate() for _ in replicas], stop.max_rounds
+    )
+    assert [record.to_dict() for record in batch.records] == [
+        record.to_dict() for record in run_per_replica(scenario).records
+    ]
 
 
 def test_parity_with_distinct_replica_workloads():
@@ -246,10 +293,10 @@ class TestBatchProbes:
     def test_sends_probe_rejected(self, expander24):
         from repro.core.flows import FlowTracker
 
-        with pytest.raises(ValueError, match="loads-only"):
+        with pytest.raises(ValueError, match="one balancer per replica"):
             BatchRunner(
                 expander24,
-                [self._floor(), self._floor()],
+                self._floor(),
                 np.ones((2, 24), dtype=np.int64),
                 probes=[(FlowTracker(),), (FlowTracker(),)],
             )

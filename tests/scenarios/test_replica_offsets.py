@@ -2,7 +2,7 @@
 
 Replica ``r`` of any scenario must see exactly the workload (initial
 loads *and* injected events) it would see running alone with
-``seed + r`` — no matter whether it executes looped, batched, or in a
+``seed + r`` — no matter whether it runs alone (a Simulator) or in a
 batch of a different size.  A regression here silently decorrelates
 "independent" replicas or makes results depend on how they were
 grouped, so every seeded registered load spec and every seeded
@@ -161,8 +161,8 @@ def test_injected_replica_independent_of_batch_size(name):
             dynamics=dynamics,
         )
 
-    small = scenario(2).run(executor="batch")
-    large = scenario(4).run(executor="batch")
+    small = scenario(2).run()
+    large = scenario(4).run()
     for replica in range(2):
         np.testing.assert_array_equal(
             small.replica(replica).final_loads,
@@ -254,8 +254,8 @@ def test_fault_replica_independent_of_batch_size(name):
             faults=faults,
         )
 
-    small = scenario(2).run(executor="batch")
-    large = scenario(4).run(executor="batch")
+    small = scenario(2).run()
+    large = scenario(4).run()
     for replica in range(2):
         np.testing.assert_array_equal(
             small.replica(replica).final_loads,
@@ -347,8 +347,8 @@ def test_topology_replica_independent_of_batch_size(name):
             topology=topology,
         )
 
-    small = scenario(2).run(executor="batch")
-    large = scenario(4).run(executor="batch")
+    small = scenario(2).run()
+    large = scenario(4).run()
     for replica in range(2):
         np.testing.assert_array_equal(
             small.replica(replica).final_loads,

@@ -1,4 +1,4 @@
-"""Scenario-level probe behavior: serialization, executor choice."""
+"""Scenario-level probe behavior: serialization, replica stacks."""
 
 import json
 
@@ -16,6 +16,7 @@ from repro.scenarios import (
     ScenarioSuite,
     StopRule,
 )
+from tests.helpers import assert_same_results, run_per_replica
 
 
 def make_scenario(**overrides):
@@ -66,42 +67,33 @@ class TestSerialization:
             make_scenario(probes=(OldSchool(),), replicas=2)
 
 
-class TestExecutorSelection:
-    def test_loads_probes_keep_batch_executor(self):
+class TestReplicaStack:
+    def test_loads_probes_on_a_stack(self):
         scenario = make_scenario(
             probes=(ProbeSpec("load_bounds"),), replicas=4
         )
         outcome = scenario.run()
-        assert outcome.executor == "batch"
         for replica in range(4):
             bounds = outcome.monitor(LoadBoundsMonitor, replica)
             assert bounds is not None
             assert bounds.min_ever == 0
             assert bounds.max_ever == 120
 
-    def test_sends_probes_fall_back_to_loop(self):
+    def test_sends_probes_on_a_stack(self):
         scenario = make_scenario(
             probes=(ProbeSpec("flows"),), replicas=2
         )
         outcome = scenario.run()
-        assert outcome.executor == "loop"
         assert outcome.monitor(FlowTracker, 1) is not None
+        assert_same_results(run_per_replica(scenario), outcome)
 
-    def test_sends_probes_reject_forced_batch(self):
-        scenario = make_scenario(
-            probes=(ProbeSpec("flows"),), replicas=2
-        )
-        with pytest.raises(ValueError, match="looped"):
-            scenario.run(executor="batch")
-
-    def test_batch_and_loop_probe_outputs_identical(self):
+    def test_stack_and_loop_probe_outputs_identical(self):
         scenario = make_scenario(
             probes=(ProbeSpec("discrepancy"), ProbeSpec("period")),
             replicas=3,
         )
-        batch = scenario.run(executor="batch")
-        loop = scenario.run(executor="loop")
-        assert batch.executor == "batch" and loop.executor == "loop"
+        batch = scenario.run()
+        loop = run_per_replica(scenario)
         for replica in range(3):
             np.testing.assert_array_equal(
                 batch.replica(replica).final_loads,

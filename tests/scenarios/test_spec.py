@@ -14,6 +14,7 @@ from repro.scenarios import (
     ScenarioSuite,
     StopRule,
 )
+from tests.helpers import run_per_replica
 
 
 def make_scenario(**overrides) -> Scenario:
@@ -114,6 +115,47 @@ class TestRoundTrip:
         assert "constant_rate" in scenario.label()
 
 
+def _from_dict(**changes):
+    data = make_scenario().to_dict()
+    data.update(changes)
+    return lambda: Scenario.from_dict(data)
+
+
+MALFORMED = [
+    pytest.param(
+        _from_dict(record_history="false"), "record_history",
+        id="record_history-str",
+    ),
+    pytest.param(
+        _from_dict(validate_every_round="false"), "validate_every_round",
+        id="validate_every_round-str",
+    ),
+    pytest.param(_from_dict(replicas=2.5), "replicas", id="replicas-float"),
+    pytest.param(_from_dict(replicas="3"), "replicas", id="replicas-str"),
+    pytest.param(
+        _from_dict(algorithm={"name": "rotor_router", "seed": 1.7}), "seed",
+        id="seed-float",
+    ),
+    pytest.param(
+        lambda: make_scenario(replicas=2.5), "replicas",
+        id="replicas-float-constructor",
+    ),
+    pytest.param(lambda: Scenario.from_dict({}), "'graph'", id="empty"),
+    pytest.param(
+        _from_dict(graph={"params": {"n": 12}}), "'family'",
+        id="graph-without-family",
+    ),
+    pytest.param(_from_dict(graph="cycle"), "graph", id="graph-str"),
+    pytest.param(_from_dict(probes=["nope"]), "probe", id="probe-str"),
+]
+
+
+@pytest.mark.parametrize("build, field", MALFORMED)
+def test_malformed_scenario_raises_value_error_naming_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 class TestValidation:
     def test_unknown_stop_kind(self):
         with pytest.raises(ValueError, match="unknown stop kind"):
@@ -130,10 +172,6 @@ class TestValidation:
     def test_replicas_must_be_positive(self):
         with pytest.raises(ValueError, match="replicas"):
             make_scenario(replicas=0)
-
-    def test_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            make_scenario().run(executor="gpu")
 
     def test_unknown_algorithm_surfaces_keyerror(self):
         scenario = make_scenario(
@@ -181,24 +219,17 @@ class TestSpecs:
 
 
 class TestRunAndSuite:
-    @pytest.mark.parametrize("executor", ["loop", "batch"])
-    def test_run_with_probe_factories_collects_instances(self, executor):
+    # "loop" is the per-replica Simulator reference, "batch" the stack.
+    @pytest.mark.parametrize(
+        "run", [run_per_replica, Scenario.run], ids=["loop", "batch"]
+    )
+    def test_run_with_probe_factories_collects_instances(self, run):
         scenario = make_scenario(probes=(LoadBoundsMonitor,))
-        outcome = scenario.run(executor=executor)
-        assert outcome.executor == executor
+        outcome = run(scenario)
         for replica in range(scenario.replicas):
             monitor = outcome.monitor(LoadBoundsMonitor, replica)
             assert monitor is not None
             assert monitor.min_ever >= 0
-
-    def test_auto_executor_batches_multireplica(self):
-        outcome = make_scenario().run()
-        assert outcome.executor == "batch"
-        assert len(outcome) == 2
-
-    def test_auto_executor_loops_single_replica(self):
-        outcome = make_scenario(replicas=1).run()
-        assert outcome.executor == "loop"
 
     def test_replica_summary_reports_target(self):
         scenario = make_scenario(
