@@ -519,7 +519,7 @@ def _run_scenario(args) -> int:
         raise SystemExit("scenario: --retries must be >= 1")
     cache = ResultCache(args.cache_dir) if args.cache else None
     runner = SuiteExecutor(
-        workers=args.workers or args.global_workers or 1,
+        workers=1 if args.workers is None else args.workers,
         cache=cache,
         max_replicas_per_shard=args.max_replicas_per_shard,
         retry=args.retries,
@@ -531,20 +531,10 @@ def _run_scenario(args) -> int:
     try:
         report = runner.run(suite)
     except SuiteExecutionError as exc:
-        print(exc, file=sys.stderr)
         for failure in exc.failures:
             print(f"--- {failure.label} ---", file=sys.stderr)
             print(failure.traceback, file=sys.stderr)
-        if args.cache:
-            print(
-                f"resume with: repro-lb scenario {args.path} --resume"
-                + (
-                    f" --cache-dir {args.cache_dir}"
-                    if args.cache_dir != ".repro-cache"
-                    else ""
-                ),
-                file=sys.stderr,
-            )
+        print(exc.describe(args.path), file=sys.stderr)
         return 1
     if report.failures:
         # --allow-partial: completed results below, holes on stderr.
@@ -615,14 +605,17 @@ def _run_scenario(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None and args.global_workers:
+    if getattr(args, "workers", None) is None:
+        # A subcommand's --workers wins over the global one.  Compared
+        # with None, so --workers 0 reaches the executor's check.
+        args.workers = args.global_workers
+    if args.command is None and args.workers is not None:
         # `python -m repro --workers N`: the full battery, parallel.
         args.command = "run"
         args.experiments = []
         args.full = False
         args.json = None
         args.markdown = False
-        args.workers = args.global_workers
         args.cache = False
         args.cache_dir = ".repro-cache"
     if args.command == "list" or args.command is None:
@@ -641,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         results = run_all(
             fast=not args.full,
             only=only,
-            workers=args.workers or args.global_workers,
+            workers=args.workers,
             cache=args.cache_dir if args.cache else None,
         )
         payload = []

@@ -7,18 +7,19 @@ The pieces:
   optional replica-axis splitting) and content-addressed shard keys;
 * :mod:`repro.exec.cache` — the crash-safe JSONL
   :class:`~repro.exec.cache.ResultCache` under ``.repro-cache/``;
-* :mod:`repro.exec.runner` — :class:`SuiteExecutor`: killable
-  worker-pool fan-out, cache-hit skip, per-shard failure capture,
-  ordered reassembly, crash resume — bit-identical to the serial
-  path;
+* :mod:`repro.exec.runner` — :class:`SuiteExecutor`, the one suite
+  runner: in-process or killable worker-pool execution, cache-hit
+  skip, per-shard failure capture, ordered reassembly, crash resume —
+  bit-identical records for every worker count and cached replay;
 * :mod:`repro.exec.retry` — :class:`RetryPolicy` (transient-vs-
   poisoned failure classification, deterministic exponential
   backoff) plus the :class:`ShardTimeoutError` /
   :class:`WorkerCrashError` failure kinds the fault-tolerant pool
   reports;
-* :mod:`repro.exec.context` — the ambient :func:`configure` settings
-  that ``ScenarioSuite.run`` (and therefore every suite-based
-  experiment driver) resolves its defaults from.
+* :mod:`repro.exec.context` — :class:`ExecConfig`, the validated
+  settings every entry point shares, and the ambient :func:`configure`
+  context that ``ScenarioSuite.run`` (and therefore every suite-based
+  experiment driver) runs under.
 
 Quick use::
 
@@ -27,6 +28,9 @@ Quick use::
     report = run_suite(suite, workers=4, cache=".repro-cache")
     print(report.summary_line())   # "12 shards: 5 computed, 7 cached"
     rows = [o.replica_summary(0) for o in report.outcomes]
+
+    with configure(workers=4, retry=3):
+        outcomes = suite.run()     # same executor, ambient settings
 """
 
 from repro.exec.cache import CacheEntry, CacheStats, ResultCache, as_cache

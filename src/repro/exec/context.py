@@ -1,4 +1,4 @@
-"""Ambient execution configuration for suite runs.
+"""Executor settings: one validated :class:`ExecConfig`, set ambiently.
 
 Experiment drivers call ``ScenarioSuite.run`` deep inside their own
 code; threading ``workers=``/``cache=`` parameters through every config
@@ -8,9 +8,12 @@ executor settings live in a process-local ambient config:
     with repro.exec.configure(workers=4, cache=".repro-cache"):
         run_table1()          # every suite inside fans out and caches
 
-``ScenarioSuite.run`` resolves its ``workers``/``cache`` defaults from
-:func:`current`, so ``repro-lb run --workers 4`` parallelizes every
-suite-based driver without any of them knowing.
+``ScenarioSuite.run`` takes no executor arguments: it runs
+:class:`~repro.exec.runner.SuiteExecutor` on :func:`current`, so
+``repro-lb run --workers 4`` parallelizes every suite-based driver
+without any of them knowing.  ``SuiteExecutor`` builds the same
+:class:`ExecConfig` from its arguments, so every surface validates a
+setting with the same check and message.
 """
 
 from __future__ import annotations
@@ -22,13 +25,21 @@ from dataclasses import dataclass, replace
 from repro.exec.cache import ResultCache, as_cache
 from repro.exec.retry import RetryPolicy, as_retry_policy
 
+ON_SHARD_FAILURE = ("raise", "partial")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """Resolved executor settings.
+    """Executor settings, checked on construction (``TypeError`` or
+    ``ValueError``); ``cache`` and ``retry`` go through
+    :func:`~repro.exec.cache.as_cache` / :func:`~repro.exec.retry.as_retry_policy`.
 
     Attributes:
-        workers: process-pool fan-out (1 = serial, in-process).
+        workers: process-pool fan-out (1 = in-process).
         cache: content-addressed result cache, or None (no caching).
         max_replicas_per_shard: split a scenario's replica axis into
             shards of at most this many replicas (None = one shard per
@@ -49,6 +60,31 @@ class ExecConfig:
     retry: RetryPolicy | None = None
     timeout: float | None = None
     on_shard_failure: str = "raise"
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.workers):
+            raise TypeError(f"workers must be an int, got {self.workers!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        split = self.max_replicas_per_shard
+        if split is not None and not _is_int(split):
+            raise TypeError(f"max_replicas_per_shard must be an int or None, got {split!r}")
+        if split is not None and split < 1:
+            raise ValueError(f"max_replicas_per_shard must be >= 1, got {split}")
+        timeout = self.timeout
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+        ):
+            raise TypeError(f"timeout must be a number or None, got {timeout!r}")
+        if timeout is not None and not timeout > 0:  # also rejects NaN
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        if self.on_shard_failure not in ON_SHARD_FAILURE:
+            raise ValueError(
+                f"on_shard_failure must be one of {ON_SHARD_FAILURE}, "
+                f"got {self.on_shard_failure!r}"
+            )
+        object.__setattr__(self, "cache", as_cache(self.cache))
+        object.__setattr__(self, "retry", as_retry_policy(self.retry))
 
 
 _ROOT = ExecConfig()
@@ -87,40 +123,25 @@ def configure(
     ``False`` to disable inherited retries; ``timeout`` (seconds,
     ``False`` disables) and ``on_shard_failure``
     (``"raise"``/``"partial"``) follow the same inherit-unless-set
-    rule.  Scoping is per thread / async context.
+    rule.  Values are checked by :class:`ExecConfig` on entry.
+    Scoping is per thread / async context.
     """
-    base = current()
-    overrides: dict = {}
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        overrides["workers"] = workers
-    if cache is False:
-        overrides["cache"] = None
-    elif cache is not None:
-        overrides["cache"] = as_cache(cache)
-    if max_replicas_per_shard is not None:
-        overrides["max_replicas_per_shard"] = max_replicas_per_shard
-    if retry is False:
-        overrides["retry"] = None
-    elif retry is not None:
-        overrides["retry"] = as_retry_policy(retry)
-    if timeout is False:
-        overrides["timeout"] = None
-    elif timeout is not None:
-        if timeout <= 0:
-            raise ValueError(
-                f"timeout must be positive, got {timeout}"
-            )
-        overrides["timeout"] = timeout
-    if on_shard_failure is not None:
-        if on_shard_failure not in ("raise", "partial"):
-            raise ValueError(
-                "on_shard_failure must be 'raise' or 'partial', "
-                f"got {on_shard_failure!r}"
-            )
-        overrides["on_shard_failure"] = on_shard_failure
-    config = replace(base, **overrides)
+    settings = {
+        "workers": workers,
+        "cache": cache,
+        "max_replicas_per_shard": max_replicas_per_shard,
+        "retry": retry,
+        "timeout": timeout,
+        "on_shard_failure": on_shard_failure,
+    }
+    overrides = {
+        name: None
+        if value is False and name in ("cache", "retry", "timeout")
+        else value
+        for name, value in settings.items()
+        if value is not None
+    }
+    config = replace(current(), **overrides)
     token = _current.set(config)
     try:
         yield config

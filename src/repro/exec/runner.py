@@ -1,25 +1,29 @@
 """Sharded suite execution: process-pool fan-out, caching, resume.
 
-:class:`SuiteExecutor` turns a :class:`~repro.scenarios.spec.\
-ScenarioSuite` into a deterministic shard plan (see
-:mod:`repro.exec.sharding`), satisfies shards from the content-
-addressed :class:`~repro.exec.cache.ResultCache` where possible,
-computes the rest either in-process (``workers=1``, no timeout) or on
-a managed worker-process pool, and reassembles per-scenario outcomes
-in suite order regardless of completion order.
+:class:`SuiteExecutor` is the one way a
+:class:`~repro.scenarios.spec.ScenarioSuite` runs
+(``ScenarioSuite.run`` calls it with the ambient
+:func:`repro.exec.configure` settings).  It turns the suite into a
+deterministic shard plan (see :mod:`repro.exec.sharding`), satisfies
+shards from the content-addressed
+:class:`~repro.exec.cache.ResultCache` where possible, computes the
+rest either in-process (``workers=1``, no timeout; one built graph per
+``GraphSpec``) or on a managed worker-process pool, and reassembles
+per-scenario outcomes in suite order regardless of completion order.
 
 Guarantees:
 
-* **Bit-identical results.**  Workers execute the exact same
-  ``Scenario.run`` path as a serial run, with absolute replica indices,
-  so the reassembled :class:`~repro.core.trace.RunRecord`\\ s are
-  byte-identical (canonical JSON) to the serial path's — property-
+* **Bit-identical results.**  Every shard runs ``Scenario.run`` on its
+  absolute replica range, so the reassembled
+  :class:`~repro.core.trace.RunRecord`\\ s are byte-identical
+  (canonical JSON) for every worker count, replica split and cached
+  replay, and to one plain ``Scenario.run`` per scenario — property-
   tested in ``tests/exec/``.
 * **Per-shard failure capture.**  A failing shard never takes down the
   others: every completed shard is still cached, and the failures are
-  raised together afterwards as :class:`SuiteExecutionError` (or
-  reported on the :class:`SuiteReport` under
-  ``on_shard_failure="partial"``).
+  raised together afterwards as :class:`SuiteExecutionError` (chaining
+  the first in-process exception as its ``__cause__``), or reported on
+  the :class:`SuiteReport` under ``on_shard_failure="partial"``.
 * **Fault-tolerant execution.**  A :class:`~repro.exec.retry.\
 RetryPolicy` re-attempts shards whose failures look transient
   (timeouts, worker crashes, I/O errors) with deterministic
@@ -43,14 +47,10 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
 from repro.core.trace import RunRecord
-from repro.exec.cache import ResultCache, as_cache
+from repro.exec.cache import ResultCache
+from repro.exec.context import ExecConfig
 from repro.exec.records import RecordedRun
-from repro.exec.retry import (
-    RetryPolicy,
-    ShardTimeoutError,
-    WorkerCrashError,
-    as_retry_policy,
-)
+from repro.exec.retry import RetryPolicy, ShardTimeoutError, WorkerCrashError
 from repro.exec.sharding import Shard, plan_shards, shard_key
 from repro.scenarios.spec import (
     GraphSpec,
@@ -58,8 +58,6 @@ from repro.scenarios.spec import (
     ScenarioResult,
     ScenarioSuite,
 )
-
-ON_SHARD_FAILURE = ("raise", "partial")
 
 
 @dataclass(frozen=True)
@@ -91,34 +89,40 @@ class SuiteExecutionError(RuntimeError):
     without re-running the suite: each failed shard's scenario
     content hash and replica range, plus a copy-pasteable
     ``repro-lb scenario ... --resume`` command (completed shards are
-    cached, so the resume run recomputes only the holes).
+    cached, so the resume run recomputes only the holes).  A failure
+    of an in-process shard is chained as ``__cause__``.
 
     Attributes:
         failures: per-shard failure details.
         report: the partial :class:`SuiteReport` (completed scenarios
             only) — useful for salvage and diagnostics.
+        cache_root: the attached cache's directory, or None.
     """
 
     def __init__(
         self,
         failures: list[ShardFailure],
         report: "SuiteReport",
-        cache_attached: bool = False,
         cache_root: str | None = None,
     ) -> None:
         self.failures = failures
         self.report = report
+        self.cache_root = cache_root
+        super().__init__(self.describe())
+
+    def describe(self, spec_path: str = "<suite.json>") -> str:
+        """The error message, its resume command naming ``spec_path``."""
         hint = (
             "completed shards were cached; re-run to resume"
-            if cache_attached
+            if self.cache_root is not None
             else "no cache configured, so completed work was "
             "discarded; attach a cache to make reruns resume"
         )
         lines = [
-            f"{len(failures)} of {len(report.shards)} shards failed "
-            f"({hint}):"
+            f"{len(self.failures)} of {len(self.report.shards)} shards "
+            f"failed ({hint}):"
         ]
-        for f in failures:
+        for f in self.failures:
             detail = (
                 f"replicas {f.shard.replica_start}:"
                 f"{f.shard.replica_stop}"
@@ -131,12 +135,12 @@ class SuiteExecutionError(RuntimeError):
                 f"  [{f.shard.scenario_index}] {f.label} "
                 f"({detail}): {f.error}"
             )
-        if cache_attached:
-            command = "repro-lb scenario <suite.json> --resume"
-            if cache_root is not None and cache_root != ".repro-cache":
-                command += f" --cache-dir {cache_root}"
+        if self.cache_root is not None:
+            command = f"repro-lb scenario {spec_path} --resume"
+            if self.cache_root != ".repro-cache":
+                command += f" --cache-dir {self.cache_root}"
             lines.append(f"resume with: {command}")
-        super().__init__("\n".join(lines))
+        return "\n".join(lines)
 
 
 @dataclass
@@ -177,7 +181,8 @@ class SuiteReport:
 class PartialSuiteResult(list):
     """Completed scenario outcomes plus the failures that were tolerated.
 
-    Returned by ``ScenarioSuite.run(..., on_shard_failure="partial")``.
+    Returned by ``ScenarioSuite.run()`` under
+    ``configure(on_shard_failure="partial")``.
     A plain ``list`` subclass, so analysis code that iterates scenario
     outcomes works unchanged — check :attr:`complete` / :attr:`failures`
     to find the holes.  Completed shards were cached (when a cache is
@@ -290,6 +295,10 @@ class SuiteExecutor:
             :attr:`SuiteReport.failures` populated — graceful
             degradation for long sweeps where a lost shard should not
             discard the other results.
+
+    The arguments are checked and kept as one
+    :class:`~repro.exec.context.ExecConfig` (``self.config``), the
+    same type :func:`~repro.exec.context.configure` builds.
     """
 
     def __init__(
@@ -301,37 +310,29 @@ class SuiteExecutor:
         timeout: float | None = None,
         on_shard_failure: str = "raise",
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(
-                f"timeout must be positive, got {timeout}"
-            )
-        if on_shard_failure not in ON_SHARD_FAILURE:
-            raise ValueError(
-                f"on_shard_failure must be one of {ON_SHARD_FAILURE}, "
-                f"got {on_shard_failure!r}"
-            )
-        self.workers = workers
-        self.cache = as_cache(cache)
-        self.max_replicas_per_shard = max_replicas_per_shard
-        self.retry = as_retry_policy(retry)
-        self.timeout = timeout
-        self.on_shard_failure = on_shard_failure
+        self.config = ExecConfig(
+            workers=workers,
+            cache=cache,
+            max_replicas_per_shard=max_replicas_per_shard,
+            retry=retry,
+            timeout=timeout,
+            on_shard_failure=on_shard_failure,
+        )
 
     # ------------------------------------------------------------------
 
     def run(self, suite: ScenarioSuite, graph=None) -> SuiteReport:
         """Execute ``suite``; see the module docstring for guarantees.
 
-        ``graph`` is the legacy prebuilt-graph override; it is used by
+        ``graph`` is a prebuilt-graph override; it is used by
         in-process execution only (worker processes deterministically
-        rebuild from the spec) and must match every scenario's spec,
-        exactly as in :meth:`ScenarioSuite.run`.  An override bypasses
-        the cache entirely (no reads, no writes): the cache key cannot
-        attest a caller-supplied object, and a stored spec-built result
-        is not an answer about the override.
+        rebuild from the spec) and is only legal when every scenario
+        shares one graph spec.  An override bypasses the cache
+        entirely (no reads, no writes): the cache key cannot attest a
+        caller-supplied object, and a stored spec-built result is not
+        an answer about the override.
         """
+        config = self.config
         scenarios = list(suite)
         if graph is not None and scenarios:
             first = scenarios[0].graph
@@ -341,13 +342,11 @@ class SuiteExecutor:
                     "in the suite shares one graph spec; this suite "
                     "sweeps multiple graphs"
                 )
-        shards = plan_shards(suite, self.max_replicas_per_shard)
-        # The cache key attests the *spec*; with a caller-supplied
-        # prebuilt graph in play the cache is bypassed entirely — no
-        # reads (a stored spec-built result is not an answer about the
-        # override) and no writes (see _compute_serial).
-        cache = self.cache if graph is None else None
-        use_pool = self.workers > 1 or self.timeout is not None
+        shards = plan_shards(suite, config.max_replicas_per_shard)
+        # The cache key attests the *spec*, so an override run neither
+        # reads nor writes it.
+        cache = config.cache if graph is None else None
+        use_pool = config.workers > 1 or config.timeout is not None
         payloads = self._payloads(scenarios, shards, cache, use_pool)
         keys = None
         if cache is not None:
@@ -365,6 +364,7 @@ class SuiteExecutor:
 
         parts: dict[int, ScenarioResult] = {}
         failures: list[ShardFailure] = []
+        cause = None
         cached = 0
         pending: list[int] = []
         for index, shard in enumerate(shards):
@@ -385,7 +385,7 @@ class SuiteExecutor:
                     failures,
                 )
             else:
-                self._compute_serial(
+                cause = self._compute_serial(
                     pending, shards, scenarios, keys, parts, failures,
                     graph,
                 )
@@ -398,17 +398,16 @@ class SuiteExecutor:
             computed=len(parts) - cached,
             cached=cached,
             failures=failures,
-            workers=self.workers,
+            workers=config.workers,
         )
-        if failures and self.on_shard_failure == "raise":
+        if failures and config.on_shard_failure == "raise":
             raise SuiteExecutionError(
                 failures,
                 report,
-                cache_attached=cache is not None,
                 cache_root=(
                     str(cache.root) if cache is not None else None
                 ),
-            )
+            ) from cause
         return report
 
     # ------------------------------------------------------------------
@@ -459,7 +458,7 @@ class SuiteExecutor:
     ) -> None:
         if keys is None:
             return
-        self.cache.put(
+        self.config.cache.put(
             keys[index],
             records,
             meta={
@@ -468,91 +467,73 @@ class SuiteExecutor:
             },
         )
 
-    def _retry_key(self, keys: list[str] | None, index: int) -> str:
-        """Stable per-shard key for deterministic backoff jitter."""
-        return keys[index] if keys is not None else f"shard:{index}"
+    def _retry_or_record(
+        self, failures, shards, scenarios, keys, index, attempt,
+        error_type: str, message: str, error_traceback: str,
+    ) -> float | None:
+        """Seconds to wait before re-attempting a failed shard, or None
+        once its failure is recorded (poisoned, or out of attempts).
 
-    def _record_failure(
-        self,
-        failures: list[ShardFailure],
-        shards: list[Shard],
-        scenarios: list[Scenario],
-        index: int,
-        attempt: int,
-        error_type: str,
-        error_message: str,
-        error_traceback: str,
-    ) -> None:
+        Backoff jitter is keyed by the shard's cache key (or its plan
+        index when uncached), so a retried run is deterministic.
+        """
+        retry = self.config.retry
+        if retry is not None and retry.should_retry(error_type, attempt):
+            key = keys[index] if keys is not None else f"shard:{index}"
+            return retry.delay(key, attempt)
         shard = shards[index]
         scenario = scenarios[shard.scenario_index]
         failures.append(
             ShardFailure(
                 shard=shard,
                 label=shard.label(scenario),
-                error=f"{error_type}: {error_message}",
+                error=f"{error_type}: {message}",
                 traceback=error_traceback,
                 content_hash=scenario.content_hash(),
                 attempts=attempt,
             )
         )
+        return None
 
     def _compute_serial(
         self, pending, shards, scenarios, keys, parts, failures, graph
-    ) -> None:
-        # One built graph per GraphSpec across the whole plan, exactly
-        # like the legacy serial path (specs are deterministic, graphs
-        # immutable).
+    ) -> Exception | None:
+        """Run shards in-process; returns the exception behind the first
+        recorded failure, so the suite error can chain it."""
+        cause = None
         graph_cache: dict[GraphSpec, object] = {}
         for index in pending:
             shard = shards[index]
             scenario = scenarios[shard.scenario_index]
-            shard_graph = graph
-            if shard_graph is None and isinstance(
-                scenario.graph, GraphSpec
-            ):
-                try:
-                    shard_graph = graph_cache.get(scenario.graph)
-                    if shard_graph is None:
-                        shard_graph = scenario.graph.build()
-                        graph_cache[scenario.graph] = shard_graph
-                except TypeError:  # unhashable custom param value
-                    shard_graph = None
-            result = None
             attempt = 1
             while True:
                 try:
+                    shard_graph = graph
+                    if shard_graph is None and isinstance(
+                        scenario.graph, GraphSpec
+                    ):
+                        shard_graph = _build_once(graph_cache, scenario.graph)
                     result = scenario.run(
                         graph=shard_graph,
                         replica_range=shard.replica_range,
                     )
-                    break
                 except Exception as exc:
-                    name = type(exc).__name__
-                    if self.retry is not None and (
-                        self.retry.should_retry(name, attempt)
-                    ):
-                        time.sleep(
-                            self.retry.delay(
-                                self._retry_key(keys, index), attempt
-                            )
-                        )
-                        attempt += 1
-                        continue
-                    self._record_failure(
-                        failures, shards, scenarios, index, attempt,
-                        name, str(exc), traceback.format_exc(),
+                    delay = self._retry_or_record(
+                        failures, shards, scenarios, keys, index,
+                        attempt, type(exc).__name__, str(exc),
+                        traceback.format_exc(),
                     )
-                    break
-            if result is None:
-                continue
-            parts[index] = result
-            # Records computed on a caller-supplied prebuilt graph are
-            # never cached: the key attests only the *spec*, and the
-            # cache must not outlive an override that might not match
-            # spec.build() — a transient wrong answer must not become a
-            # persistent one.  Spec-built graphs (graph_cache) are fine.
-            if graph is None:
+                    if delay is None:
+                        cause = exc if cause is None else cause
+                        break
+                    time.sleep(delay)
+                    attempt += 1
+                    continue
+                parts[index] = result
+                # No-op under a graph override: run() detached the cache.
                 self._store(keys, index, shard, scenario, result.records)
+                break
+        return cause
 
     def _compute_pool(
         self, pending, shards, scenarios, payloads, keys, parts, failures
@@ -567,7 +548,8 @@ class SuiteExecutor:
         flowing on fresh workers either way.
         """
         ctx = _mp_context()
-        max_workers = min(self.workers, len(pending))
+        timeout = self.config.timeout
+        max_workers = min(self.config.workers, len(pending))
         queue: list[tuple[int, int]] = [(i, 1) for i in pending]
         queue.reverse()  # pop() serves shards in plan order
         delayed: list[tuple[float, int, int]] = []  # (ready_at, idx, att)
@@ -576,20 +558,14 @@ class SuiteExecutor:
         def _requeue_or_record(
             index: int, attempt: int, name: str, message: str, tb: str
         ) -> None:
-            if self.retry is not None and (
-                self.retry.should_retry(name, attempt)
-            ):
-                ready_at = time.monotonic() + self.retry.delay(
-                    self._retry_key(keys, index), attempt
-                )
-                heapq.heappush(
-                    delayed, (ready_at, index, attempt + 1)
-                )
-                return
-            self._record_failure(
-                failures, shards, scenarios, index, attempt,
+            delay = self._retry_or_record(
+                failures, shards, scenarios, keys, index, attempt,
                 name, message, tb,
             )
+            if delay is not None:
+                heapq.heappush(
+                    delayed, (time.monotonic() + delay, index, attempt + 1)
+                )
 
         def _settle(conn, job: _RunningShard, message) -> None:
             job.proc.join()
@@ -635,8 +611,8 @@ class SuiteExecutor:
                     proc.start()
                     child_conn.close()
                     deadline = (
-                        time.monotonic() + self.timeout
-                        if self.timeout is not None
+                        time.monotonic() + timeout
+                        if timeout is not None
                         else None
                     )
                     running[parent_conn] = _RunningShard(
@@ -688,10 +664,10 @@ class SuiteExecutor:
                     _requeue_or_record(
                         job.index, job.attempt,
                         ShardTimeoutError.__name__,
-                        f"shard exceeded the {self.timeout}s per-shard "
+                        f"shard exceeded the {timeout}s per-shard "
                         "timeout; worker killed",
                         "ShardTimeoutError: shard exceeded the "
-                        f"{self.timeout}s per-shard timeout\n",
+                        f"{timeout}s per-shard timeout\n",
                     )
         finally:
             # Never leak workers, even if the parent errors mid-plan.
@@ -742,6 +718,19 @@ class SuiteExecutor:
                 )
             )
         return outcomes
+
+
+def _build_once(graph_cache: dict, spec: GraphSpec):
+    """``spec.build()``, once per distinct spec across a plan (specs are
+    deterministic, graphs immutable); a spec with an unhashable param
+    value is built every time."""
+    try:
+        built = graph_cache.get(spec)
+    except TypeError:  # unhashable custom param value
+        return spec.build()
+    if built is None:
+        built = graph_cache[spec] = spec.build()
+    return built
 
 
 def _result_from_records(

@@ -833,125 +833,34 @@ class ScenarioSuite:
         return content_hash(self.to_dict())
 
     def run(
-        self,
-        graph: BalancingGraph | None = None,
-        *,
-        workers: int | None = None,
-        cache=None,
-        retry=None,
-        timeout: float | None = None,
-        on_shard_failure: str | None = None,
+        self, graph: BalancingGraph | None = None
     ) -> list[ScenarioResult]:
-        """Run every scenario in order; see :meth:`Scenario.run`.
+        """Run every scenario through :class:`~repro.exec.SuiteExecutor`
+        under the ambient :func:`repro.exec.configure` settings (workers,
+        cache, replica splitting, retry, timeout, failure mode), so the
+        drivers inherit them without any plumbing.  For an explicit run
+        with a report, call :func:`repro.exec.run_suite`.
 
-        ``graph`` is a prebuilt-graph cache — it must be the graph the
-        shared spec builds (graph construction is deterministic, so
-        this is a pure build-once optimization) and is only legal when
-        every scenario in the suite shares one graph spec: a
-        multi-graph sweep would otherwise silently run each scenario
-        on the wrong topology.  With ``workers > 1`` the prebuilt
-        object is not shipped to worker processes; they rebuild from
-        the spec, which by the above contract is the same graph.  The
-        executor also bypasses the cache entirely for override runs,
-        since a cache key can only attest the spec.
+        ``graph`` is a prebuilt-graph cache: it must be the graph the
+        shared spec builds, and is only legal when every scenario shares
+        one graph spec.  Worker processes rebuild it from the spec, and
+        the result cache is bypassed, since a key attests only the spec.
 
-        ``workers`` and ``cache`` route execution through the
-        :mod:`repro.exec` subsystem: ``workers > 1`` fans independent
-        shards out over a process pool, ``cache`` (a
-        :class:`~repro.exec.ResultCache` or a directory path) skips
-        shards whose records are already cached.  Both default to the
-        ambient :func:`repro.exec.configure` context — pass
-        ``cache=False`` to opt this call out of an inherited cache
-        (e.g. a run drawing entropy outside its spec).  Drivers built
-        on ``ScenarioSuite.run`` therefore inherit parallelism and
-        caching without any config plumbing, and results are
-        bit-identical to the serial path in every mode.
-
-        ``retry``, ``timeout``, and ``on_shard_failure`` make the run
-        fault tolerant (see :mod:`repro.exec.retry`): ``retry`` (a
-        policy or attempt count) re-attempts transiently failing
-        shards, ``timeout`` kills shards over a per-shard wall-clock
-        budget, and ``on_shard_failure="partial"`` degrades gracefully
-        — instead of raising :class:`~repro.exec.SuiteExecutionError`,
-        the run returns a :class:`~repro.exec.PartialSuiteResult` (a
-        list of the completed outcomes carrying ``.failures``), with
-        healthy shards still cached so a later run only fills the
-        holes.  All three default to the ambient configuration; pass
-        ``retry=False`` / ``timeout=False`` to opt out of inherited
-        settings.
+        Returns the outcomes in suite order.  A failed shard raises
+        :class:`~repro.exec.SuiteExecutionError` once every shard has
+        settled; under ``configure(on_shard_failure="partial")`` the
+        completed outcomes come back as a
+        :class:`~repro.exec.PartialSuiteResult` carrying ``.failures``.
         """
-        from repro.exec.context import current as current_exec_config
-        from repro.exec.retry import as_retry_policy
+        from repro.exec.context import current
+        from repro.exec.runner import PartialSuiteResult, SuiteExecutor
 
-        config = current_exec_config()
-        if workers is None:
-            workers = config.workers
-        if cache is False:
-            cache = None
-        elif cache is None:
-            cache = config.cache
-        if retry is False:
-            retry = None
-        elif retry is None:
-            retry = config.retry
-        else:
-            retry = as_retry_policy(retry)
-        if timeout is False:
-            timeout = None
-        elif timeout is None:
-            timeout = config.timeout
-        if on_shard_failure is None:
-            on_shard_failure = config.on_shard_failure
-        if (
-            workers > 1
-            or cache is not None
-            or retry is not None
-            or timeout is not None
-            or on_shard_failure != "raise"
-        ):
-            from repro.exec.runner import (
-                PartialSuiteResult,
-                SuiteExecutor,
-            )
-
-            report = SuiteExecutor(
-                workers=workers,
-                cache=cache,
-                max_replicas_per_shard=config.max_replicas_per_shard,
-                retry=retry,
-                timeout=timeout,
-                on_shard_failure=on_shard_failure,
-            ).run(self, graph=graph)
-            if on_shard_failure == "partial":
-                return PartialSuiteResult(report.outcomes, report)
-            return report.outcomes
-        if graph is not None and self.scenarios:
-            first = self.scenarios[0].graph
-            if any(s.graph != first for s in self.scenarios[1:]):
-                raise ValueError(
-                    "graph= override is only valid when every scenario "
-                    "in the suite shares one graph spec; this suite "
-                    "sweeps multiple graphs"
-                )
-        # Scenarios sharing a GraphSpec share one built graph instance
-        # (specs are deterministic, graphs immutable), so a sweep of k
-        # algorithms over one graph builds it once, not k times.
-        graph_cache: dict[GraphSpec, BalancingGraph] = {}
-        results = []
-        for scenario in self.scenarios:
-            scenario_graph = graph
-            if scenario_graph is None and isinstance(
-                scenario.graph, GraphSpec
-            ):
-                try:
-                    scenario_graph = graph_cache.get(scenario.graph)
-                    if scenario_graph is None:
-                        scenario_graph = scenario.graph.build()
-                        graph_cache[scenario.graph] = scenario_graph
-                except TypeError:  # unhashable custom param value
-                    scenario_graph = None
-            results.append(scenario.run(graph=scenario_graph))
-        return results
+        config = current()
+        # ExecConfig's fields are exactly SuiteExecutor's arguments.
+        report = SuiteExecutor(**vars(config)).run(self, graph=graph)
+        if config.on_shard_failure == "partial":
+            return PartialSuiteResult(report.outcomes, report)
+        return report.outcomes
 
     def to_dict(self) -> dict:
         return {

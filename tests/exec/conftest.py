@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tests.exec.factories import canonical_records, make_suite
+from tests.helpers import run_scenarios
 
 
 @pytest.fixture()
@@ -14,4 +15,4 @@ def suite():
 
 @pytest.fixture()
 def serial_records(suite):
-    return canonical_records(suite.run())
+    return canonical_records(run_scenarios(suite))

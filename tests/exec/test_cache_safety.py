@@ -255,16 +255,17 @@ class TestGraphOverrideNeverPoisonsTheCache:
         assert override_again.computed == 2
 
 
-class TestPerCallCacheOptOut:
-    def test_suite_run_cache_false_under_ambient_cache(self, tmp_path):
+class TestScopedCacheOptOut:
+    def test_configure_cache_false_under_ambient_cache(self, tmp_path):
         from repro.exec import configure
 
         suite = make_suite()
         with configure(cache=tmp_path):
-            outcomes = suite.run(cache=False)
+            with configure(cache=False):
+                outcomes = suite.run()
             assert len(outcomes) == len(suite)
         cache = ResultCache(tmp_path)
-        assert len(cache) == 0, "cache=False must opt the call out"
+        assert len(cache) == 0, "configure(cache=False) must opt the block out"
 
 
 class TestExecutorNeverTrustsDamage:

@@ -154,7 +154,8 @@ class TestTransientFailure:
         self, suite, sabotage, tmp_path, serial_records
     ):
         counter = sabotage("transient", fail_times=2)
-        outcomes = suite.run(retry=FAST_RETRY)
+        with configure(retry=FAST_RETRY):
+            outcomes = suite.run()
         assert int(counter.read_text()) == 2
         assert canonical_records(outcomes) == serial_records
 
@@ -184,7 +185,8 @@ class TestTransientFailure:
 class TestGracefulDegradation:
     def test_partial_mode_returns_survivors(self, suite, sabotage):
         sabotage("sigkill")
-        outcomes = suite.run(workers=2, on_shard_failure="partial")
+        with configure(workers=2, on_shard_failure="partial"):
+            outcomes = suite.run()
         assert isinstance(outcomes, PartialSuiteResult)
         assert not outcomes.complete
         assert len(outcomes) == len(suite) - 1
@@ -196,9 +198,8 @@ class TestGracefulDegradation:
     ):
         sabotage("sigkill")
         cache = ResultCache(tmp_path / "cache")
-        partial = suite.run(
-            workers=2, cache=cache, on_shard_failure="partial"
-        )
+        with configure(workers=2, cache=cache, on_shard_failure="partial"):
+            partial = suite.run()
         assert len(partial) == len(suite) - 1
         assert len(cache) == len(suite) - 1
         # The chaos ends (monkeypatch undone); resume recomputes only
@@ -235,7 +236,8 @@ class TestChaosParity:
     ):
         """Chaos must never corrupt what *does* complete."""
         sabotage("sigkill")
-        outcomes = suite.run(workers=2, on_shard_failure="partial")
+        with configure(workers=2, on_shard_failure="partial"):
+            outcomes = suite.run()
         survivor_labels = {
             outcome.scenario.label() for outcome in outcomes
         }

@@ -17,6 +17,7 @@ from repro.exec import (
     ResultCache,
     SuiteExecutionError,
     SuiteExecutor,
+    configure,
     run_suite,
 )
 from repro.scenarios import (
@@ -30,7 +31,7 @@ from repro.scenarios import (
 )
 
 from tests.exec.factories import canonical_records, make_suite
-from tests.helpers import run_per_replica
+from tests.helpers import run_per_replica, run_scenarios
 
 
 class TestWorkerParity:
@@ -50,7 +51,7 @@ class TestWorkerParity:
             ),
             name="exec-parity-until",
         )
-        serial = canonical_records(suite.run())
+        serial = canonical_records(run_scenarios(suite))
         report = run_suite(suite, workers=workers)
         assert canonical_records(report.outcomes) == serial
 
@@ -88,7 +89,7 @@ class TestWorkerParity:
     def test_replica_summaries_match_serial(self, suite):
         serial = [
             outcome.replica_summary(replica)
-            for outcome in suite.run()
+            for outcome in run_scenarios(suite)
             for replica in range(len(outcome))
         ]
         report = run_suite(suite, workers=2)
@@ -138,14 +139,18 @@ class TestCachedReplayParity:
 
 
 class TestSuiteRunRouting:
-    def test_suite_run_workers_kwarg(self, suite, serial_records):
-        outcomes = suite.run(workers=2)
+    def test_suite_run_configured_workers(self, suite, serial_records):
+        with configure(workers=2):
+            outcomes = suite.run()
         assert canonical_records(outcomes) == serial_records
 
-    def test_suite_run_cache_kwarg(self, suite, serial_records, tmp_path):
-        outcomes = suite.run(cache=tmp_path / "cache")
-        assert canonical_records(outcomes) == serial_records
-        replay = suite.run(cache=tmp_path / "cache")
+    def test_suite_run_configured_cache(
+        self, suite, serial_records, tmp_path
+    ):
+        with configure(cache=tmp_path / "cache"):
+            outcomes = suite.run()
+            assert canonical_records(outcomes) == serial_records
+            replay = suite.run()
         assert canonical_records(replay) == serial_records
 
     def test_ambient_configure_routes_suite_run(

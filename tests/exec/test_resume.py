@@ -15,6 +15,7 @@ import repro.exec.runner as runner_module
 from repro.exec import ResultCache, SuiteExecutionError, run_suite
 
 from tests.exec.factories import canonical_records, make_suite
+from tests.helpers import run_scenarios
 
 
 class _DieAfter:
@@ -104,7 +105,7 @@ class TestCrashResume:
         # result lands: completed shards are cached the moment they
         # finish, so even a mid-collection crash resumes.
         suite = make_suite()
-        serial = canonical_records(suite.run())
+        serial = canonical_records(run_scenarios(suite))
         cache = ResultCache(tmp_path)
 
         original_store = runner_module.SuiteExecutor._store

@@ -262,6 +262,67 @@ class TestScenarioCommand:
             json.dumps(want, default=str)
         )
 
+    @pytest.mark.parametrize(
+        "cache_args", [[], ["--cache-dir", "custom-cache"], ["--no-cache"]],
+        ids=["default-cache", "cache-dir", "no-cache"],
+    )
+    def test_failure_prints_one_resume_hint(
+        self, tmp_path, capsys, monkeypatch, cache_args
+    ):
+        import json
+
+        from repro.scenarios import (
+            AlgorithmSpec,
+            GraphSpec,
+            LoadSpec,
+            Scenario,
+            ScenarioSuite,
+            StopRule,
+        )
+
+        monkeypatch.chdir(tmp_path)
+        good, bad = (
+            Scenario(
+                graph=GraphSpec("cycle", {"n": 12}),
+                algorithm=AlgorithmSpec(name),
+                loads=LoadSpec("point_mass", {"tokens": 120}),
+                stop=StopRule.fixed(10),
+            )
+            for name in ("send_floor", "no_such_algorithm")
+        )
+        path = tmp_path / "poisoned.json"
+        path.write_text(json.dumps(ScenarioSuite((good, bad)).to_dict()))
+        assert main(["scenario", str(path), *cache_args]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 2 shards failed" in err
+        hints = [
+            line for line in err.splitlines()
+            if line.startswith("resume with:")
+        ]
+        if "--no-cache" in cache_args:
+            assert hints == []
+            return
+        command = f"resume with: repro-lb scenario {path} --resume"
+        if cache_args:
+            command += " --cache-dir custom-cache"
+        assert hints == [command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "SUITE", "--no-cache", "--workers", "0"],
+            ["--workers", "0", "scenario", "SUITE", "--no-cache"],
+            ["run", "E1", "--workers", "0"],
+            ["--workers", "0"],
+        ],
+        ids=["scenario", "global-scenario", "run", "battery"],
+    )
+    def test_workers_zero_is_rejected(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        path = str(self._write_suite(tmp_path))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            main([path if arg == "SUITE" else arg for arg in argv])
+
     def test_replicas_flag(self, capsys):
         code = main(
             [

@@ -23,7 +23,7 @@ from repro.core.monitors import LoadBoundsMonitor
 from repro.dynamics.spec import as_injector
 from repro.faults.spec import as_fault_schedule
 from repro.graphs import families
-from repro.scenarios.spec import ScenarioResult
+from repro.scenarios.spec import GraphSpec, ScenarioResult
 from repro.topology.spec import as_topology_schedule
 
 
@@ -90,6 +90,30 @@ def run_per_replica(scenario, graph=None, replica_range=None) -> ScenarioResult:
     return ScenarioResult(
         scenario=scenario, graph=graph, results=results, probes=probe_sets
     )
+
+
+def run_scenarios(suite, graph=None) -> list[ScenarioResult]:
+    """Reference for :meth:`ScenarioSuite.run`: one :meth:`Scenario.run`
+    per scenario, in suite order, with no executor, shards or cache.
+
+    Scenarios sharing a :class:`GraphSpec` share one built graph; a
+    spec whose params are unhashable is left to ``Scenario.run`` to
+    build.
+    """
+    graph_cache: dict = {}
+    results = []
+    for scenario in suite:
+        scenario_graph = graph
+        if scenario_graph is None and isinstance(scenario.graph, GraphSpec):
+            try:
+                scenario_graph = graph_cache.get(scenario.graph)
+                if scenario_graph is None:
+                    scenario_graph = scenario.graph.build()
+                    graph_cache[scenario.graph] = scenario_graph
+            except TypeError:  # unhashable custom param value
+                scenario_graph = None
+        results.append(scenario.run(graph=scenario_graph))
+    return results
 
 
 def assert_same_results(left: ScenarioResult, right: ScenarioResult) -> None:
