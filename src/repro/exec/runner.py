@@ -7,9 +7,19 @@
 deterministic shard plan (see :mod:`repro.exec.sharding`), satisfies
 shards from the content-addressed
 :class:`~repro.exec.cache.ResultCache` where possible, computes the
-rest either in-process (``workers=1``, no timeout; one built graph per
-``GraphSpec``) or on a managed worker-process pool, and reassembles
-per-scenario outcomes in suite order regardless of completion order.
+rest either in-process (``workers=1``, no timeout) or on a managed
+worker-process pool, and reassembles per-scenario outcomes in suite
+order regardless of completion order.
+
+Graphs are built in the calling process on both paths: each distinct
+``GraphSpec`` of the pending shards once, when the first shard that
+needs it is dispatched (a fully cached replay builds nothing).  Forked
+workers inherit the built graph, and the scipy/networkx imports its
+build warmed, copy-on-write; on a platform without ``fork`` the graph
+is pickled with the worker's arguments.  A caller's ``graph=``
+override is simply the graph every shard gets.  Builds run outside the
+per-shard ``timeout``, and a failing build is that shard's failure
+(no worker is started for it).
 
 Guarantees:
 
@@ -52,6 +62,7 @@ from repro.exec.context import ExecConfig
 from repro.exec.records import RecordedRun
 from repro.exec.retry import RetryPolicy, ShardTimeoutError, WorkerCrashError
 from repro.exec.sharding import Shard, plan_shards, shard_key
+from repro.graphs.balancing import BalancingGraph
 from repro.scenarios.spec import (
     GraphSpec,
     Scenario,
@@ -207,15 +218,17 @@ class PartialSuiteResult(list):
         return line
 
 
-def _shard_task(payload: dict) -> dict:
-    """Worker-side execution of one shard (top level: picklable).
+def _shard_task(payload: dict, graph) -> dict:
+    """Worker-side execution of one shard on the parent-built ``graph``
+    (top level: picklable).
 
     Scenarios travel as their canonical dictionaries and results come
-    back as record dictionaries, so the process boundary only ever
-    carries the same JSON-shaped data the cache persists.
+    back as record dictionaries, so apart from the graph the process
+    boundary only carries the same JSON-shaped data the cache persists.
     """
     scenario = Scenario.from_dict(payload["scenario"])
     result = scenario.run(
+        graph=graph,
         replica_range=range(
             payload["replica_start"], payload["replica_stop"]
         ),
@@ -223,7 +236,7 @@ def _shard_task(payload: dict) -> dict:
     return {"records": [record.to_dict() for record in result.records]}
 
 
-def _proc_main(conn, payload: dict) -> None:
+def _proc_main(conn, payload: dict, graph) -> None:
     """Worker-process entry: run one shard, ship the outcome back.
 
     The protocol is one message per worker: ``("ok", outcome)`` or
@@ -233,7 +246,7 @@ def _proc_main(conn, payload: dict) -> None:
     :class:`~repro.exec.retry.WorkerCrashError`.
     """
     try:
-        outcome = _shard_task(payload)
+        outcome = _shard_task(payload, graph)
         message = ("ok", outcome)
     except BaseException as exc:
         message = (
@@ -252,8 +265,9 @@ def _mp_context():
     """Fork when the platform offers it, else the platform default.
 
     Forked workers inherit the parent's loaded modules (no re-import
-    cost per shard) and its in-process state — which is also what lets
-    the chaos tests monkeypatch fault injection into workers.
+    cost per shard), the graphs it built and its in-process state —
+    which is also what lets the chaos tests monkeypatch fault
+    injection into workers.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
@@ -324,13 +338,15 @@ class SuiteExecutor:
     def run(self, suite: ScenarioSuite, graph=None) -> SuiteReport:
         """Execute ``suite``; see the module docstring for guarantees.
 
-        ``graph`` is a prebuilt-graph override; it is used by
-        in-process execution only (worker processes deterministically
-        rebuild from the spec) and is only legal when every scenario
-        shares one graph spec.  An override bypasses the cache
-        entirely (no reads, no writes): the cache key cannot attest a
-        caller-supplied object, and a stored spec-built result is not
-        an answer about the override.
+        ``graph`` is a prebuilt-graph override, only legal when every
+        scenario shares one graph spec.  Every shard runs on it, in
+        process or in a worker, and no spec is built.  An override
+        bypasses the cache entirely (no reads, no writes): the cache
+        key cannot attest a caller-supplied object, and a stored
+        spec-built result is not an answer about the override.
+
+        Spec graphs are built in this process, once per distinct spec,
+        outside any per-shard ``timeout``.
         """
         config = self.config
         scenarios = list(suite)
@@ -380,9 +396,9 @@ class SuiteExecutor:
 
         if pending:
             if use_pool:
-                self._compute_pool(
+                cause = self._compute_pool(
                     pending, shards, scenarios, payloads, keys, parts,
-                    failures,
+                    failures, graph,
                 )
             else:
                 cause = self._compute_serial(
@@ -501,20 +517,15 @@ class SuiteExecutor:
         """Run shards in-process; returns the exception behind the first
         recorded failure, so the suite error can chain it."""
         cause = None
-        graph_cache: dict[GraphSpec, object] = {}
+        graph_cache: dict[GraphSpec, BalancingGraph] = {}
         for index in pending:
             shard = shards[index]
             scenario = scenarios[shard.scenario_index]
             attempt = 1
             while True:
                 try:
-                    shard_graph = graph
-                    if shard_graph is None and isinstance(
-                        scenario.graph, GraphSpec
-                    ):
-                        shard_graph = _build_once(graph_cache, scenario.graph)
                     result = scenario.run(
-                        graph=shard_graph,
+                        graph=_shard_graph(graph_cache, graph, scenario),
                         replica_range=shard.replica_range,
                     )
                 except Exception as exc:
@@ -536,8 +547,9 @@ class SuiteExecutor:
         return cause
 
     def _compute_pool(
-        self, pending, shards, scenarios, payloads, keys, parts, failures
-    ) -> None:
+        self, pending, shards, scenarios, payloads, keys, parts, failures,
+        graph,
+    ) -> Exception | None:
         """Fan shards out over killable worker processes.
 
         Hand-rolled on ``multiprocessing.Pipe`` + ``connection.wait``
@@ -546,6 +558,11 @@ class SuiteExecutor:
         detected (deadline expiry / pipe EOF), killed if needed, and
         its shard retried or recorded — the rest of the plan keeps
         flowing on fresh workers either way.
+
+        A shard's graph is resolved here, before its worker starts, so
+        a failing build is recorded like the serial path records it and
+        is returned (the first such exception) for the suite error to
+        chain; worker failures cross the process boundary as text only.
         """
         ctx = _mp_context()
         timeout = self.config.timeout
@@ -554,18 +571,23 @@ class SuiteExecutor:
         queue.reverse()  # pop() serves shards in plan order
         delayed: list[tuple[float, int, int]] = []  # (ready_at, idx, att)
         running: dict[object, _RunningShard] = {}
+        graph_cache: dict[GraphSpec, BalancingGraph] = {}
+        cause = None
 
         def _requeue_or_record(
             index: int, attempt: int, name: str, message: str, tb: str
-        ) -> None:
+        ) -> bool:
+            """Schedule a retry; False once the failure is recorded."""
             delay = self._retry_or_record(
                 failures, shards, scenarios, keys, index, attempt,
                 name, message, tb,
             )
-            if delay is not None:
-                heapq.heappush(
-                    delayed, (time.monotonic() + delay, index, attempt + 1)
-                )
+            if delay is None:
+                return False
+            heapq.heappush(
+                delayed, (time.monotonic() + delay, index, attempt + 1)
+            )
+            return True
 
         def _settle(conn, job: _RunningShard, message) -> None:
             job.proc.join()
@@ -602,10 +624,23 @@ class SuiteExecutor:
                     queue.append((index, attempt))
                 while queue and len(running) < max_workers:
                     index, attempt = queue.pop()
+                    scenario = scenarios[shards[index].scenario_index]
+                    try:
+                        shard_graph = _shard_graph(
+                            graph_cache, graph, scenario
+                        )
+                    except Exception as exc:
+                        retried = _requeue_or_record(
+                            index, attempt, type(exc).__name__, str(exc),
+                            traceback.format_exc(),
+                        )
+                        if not retried and cause is None:
+                            cause = exc
+                        continue
                     parent_conn, child_conn = ctx.Pipe(duplex=False)
                     proc = ctx.Process(
                         target=_proc_main,
-                        args=(child_conn, payloads[index]),
+                        args=(child_conn, payloads[index], shard_graph),
                         daemon=True,
                     )
                     proc.start()
@@ -675,6 +710,7 @@ class SuiteExecutor:
                 job.proc.kill()
                 job.proc.join()
                 conn.close()
+        return cause
 
     @staticmethod
     def _reassemble(
@@ -720,10 +756,20 @@ class SuiteExecutor:
         return outcomes
 
 
-def _build_once(graph_cache: dict, spec: GraphSpec):
-    """``spec.build()``, once per distinct spec across a plan (specs are
-    deterministic, graphs immutable); a spec with an unhashable param
-    value is built every time."""
+def _shard_graph(graph_cache: dict, override, scenario: Scenario):
+    """The graph a shard runs on, on either execution path.
+
+    A caller's ``override`` wins; a scenario holding a prebuilt graph
+    runs on it; otherwise ``scenario.graph.build()`` runs once per
+    distinct spec across a plan (specs are deterministic, graphs
+    immutable), except that a spec with an unhashable param value is
+    built every time.
+    """
+    if override is not None:
+        return override
+    spec = scenario.graph
+    if not isinstance(spec, GraphSpec):
+        return spec
     try:
         built = graph_cache.get(spec)
     except TypeError:  # unhashable custom param value

@@ -24,8 +24,7 @@ from repro.graphs.errors import GraphValidationError
 from repro.graphs.validation import (
     is_connected,
     require_connected,
-    reverse_port_map,
-    validate_adjacency,
+    validate_with_reverse_ports,
 )
 
 
@@ -51,7 +50,7 @@ class BalancingGraph:
         name: str = "",
         require_connectivity: bool = True,
     ) -> None:
-        adjacency = validate_adjacency(adjacency)
+        adjacency, reverse_port = validate_with_reverse_ports(adjacency)
         if require_connectivity:
             require_connected(adjacency)
         if num_self_loops < 0:
@@ -61,7 +60,7 @@ class BalancingGraph:
         self._adjacency = adjacency
         self._adjacency.setflags(write=False)
         self._num_self_loops = int(num_self_loops)
-        self._reverse_port = reverse_port_map(adjacency)
+        self._reverse_port = reverse_port
         self._reverse_port.setflags(write=False)
         self.name = name or f"graph(n={self.num_nodes}, d={self.degree})"
         self._transition_matrix: np.ndarray | None = None
@@ -98,7 +97,8 @@ class BalancingGraph:
 
     @property
     def reverse_port(self) -> np.ndarray:
-        """Read-only reverse-port map (see :func:`reverse_port_map`)."""
+        """Read-only reverse-port map (see
+        :func:`~repro.graphs.validation.reverse_port_map`)."""
         return self._reverse_port
 
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -348,6 +348,17 @@ class BalancingGraph:
         return cls(adjacency, num_self_loops, name=name or "from_edge_list")
 
     # ------------------------------------------------------------------
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable (a suite worker on a
+        # platform without fork receives its graph this way); a graph's
+        # arrays stay read-only.
+        self.__dict__.update(state)
+        for array in (
+            self._adjacency, self._reverse_port, self._transition_matrix
+        ):
+            if array is not None:
+                array.setflags(write=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -45,10 +45,12 @@ def cycle(n: int, num_self_loops: int | None = None) -> BalancingGraph:
     """Cycle ``C_n`` (2-regular). Requires ``n >= 3``."""
     if n < 3:
         raise GraphConstructionError(f"cycle requires n >= 3, got {n}")
-    nodes = np.arange(n)
-    adjacency = np.sort(
-        np.stack([(nodes - 1) % n, (nodes + 1) % n], axis=1), axis=1
-    )
+    # Rows [u - 1, u + 1] are ascending except at the two wrap nodes.
+    adjacency = np.empty((n, 2), dtype=np.int64)
+    adjacency[:, 0] = np.arange(-1, n - 1)
+    adjacency[:, 1] = np.arange(1, n + 1)
+    adjacency[0] = (1, n - 1)
+    adjacency[n - 1] = (0, n - 2)
     return BalancingGraph(
         adjacency,
         _default_loops(2, num_self_loops),

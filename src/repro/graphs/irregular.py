@@ -350,6 +350,16 @@ class PaddedBalancingGraph:
             info["tiers"] = self.tier_counts()
         return info
 
+    def __setstate__(self, state: dict) -> None:
+        # As BalancingGraph.__setstate__: unpickled arrays stay read-only.
+        self.__dict__.update(state)
+        for array in (
+            self._adjacency, self._reverse_port, self._node_tiers,
+            self._transition_matrix,
+        ):
+            if array is not None:
+                array.setflags(write=False)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PaddedBalancingGraph(name={self.name!r}, "

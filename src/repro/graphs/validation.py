@@ -25,6 +25,28 @@ def validate_adjacency(adjacency: np.ndarray) -> np.ndarray:
     Raises:
         GraphValidationError: if any structural assumption is violated.
     """
+    adjacency, _ = _validate(adjacency)
+    return adjacency
+
+
+def validate_with_reverse_ports(
+    adjacency: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_adjacency` and :func:`reverse_port_map` of the
+    validated array, sharing one sort of the directed edges.
+
+    This is a graph build's path.  The reverse map of a row-sorted
+    adjacency reuses the backward order's memory.
+    """
+    adjacency, (forward, backward) = _validate(adjacency)
+    return adjacency, _reverse_ports(adjacency, forward, backward)
+
+
+def _validate(
+    adjacency: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray | None, np.ndarray]]:
+    """Every check of :func:`validate_adjacency`; also returns the
+    directed edge orders the symmetry check sorted."""
     adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
     if adjacency.ndim != 2:
         raise GraphValidationError(
@@ -46,50 +68,81 @@ def validate_adjacency(adjacency: np.ndarray) -> np.ndarray:
             f"node {bad} lists itself as a neighbor; self-loops are added "
             "via BalancingGraph(num_self_loops=...), not the adjacency"
         )
-    sorted_rows = np.sort(adjacency, axis=1)
-    duplicate_mask = sorted_rows[:, 1:] == sorted_rows[:, :-1]
-    if np.any(duplicate_mask):
-        bad = int(np.nonzero(np.any(duplicate_mask, axis=1))[0][0])
-        raise GraphValidationError(
-            f"node {bad} has parallel edges (duplicate neighbor entries)"
-        )
-    _check_symmetry(adjacency)
-    return adjacency
+    # Strictly increasing rows have no parallel edges and need no sort.
+    rows_sorted = _rows_ascending(adjacency)
+    if not rows_sorted:
+        sorted_rows = np.sort(adjacency, axis=1)
+        duplicate_mask = sorted_rows[:, 1:] == sorted_rows[:, :-1]
+        if np.any(duplicate_mask):
+            bad = int(np.nonzero(np.any(duplicate_mask, axis=1))[0][0])
+            raise GraphValidationError(
+                f"node {bad} has parallel edges (duplicate neighbor entries)"
+            )
+        del sorted_rows, duplicate_mask  # freed before the edge sort
+    orders = _directed_edge_orders(adjacency, rows_sorted)
+    _check_symmetry(adjacency, *orders)
+    return adjacency, orders
+
+
+def _rows_ascending(adjacency: np.ndarray) -> bool:
+    return bool(np.all(adjacency[:, 1:] > adjacency[:, :-1]))
 
 
 def _directed_edge_orders(
-    adjacency: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    adjacency: np.ndarray, rows_sorted: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Sort the directed edges of ``adjacency`` both ways.
 
-    Directed edge ``i = u * d + p`` runs from ``src[i] = u`` over port
-    ``p = i % d`` to ``dst[i] = adjacency[u, p]``.  ``forward`` sorts
+    Directed edge ``i = u * d + p`` runs from ``src(i) = u`` over port
+    ``p = i % d`` to ``dst(i) = adjacency[u, p]``.  ``forward`` sorts
     the edges by ``(src, dst)``, ``backward`` by ``(dst, src)``.  On a
     symmetric graph the two sorted pair sequences coincide, which makes
     both the symmetry check and the reverse-port map one aligned
     comparison — no per-node dictionaries, no Python loop.
+
+    When every row is ascending (``rows_sorted``; every built-in family
+    builds its rows so) the flat edge order already is the forward
+    order, returned as ``None`` rather than an ``arange``, and a stable
+    sort of ``dst`` alone keeps each ``dst`` group in ascending ``src``
+    order: one sort instead of two lexsorts.
     """
     n, d = adjacency.shape
-    src = np.repeat(np.arange(n), d)
     dst = adjacency.reshape(-1)
-    forward = np.lexsort((dst, src))
-    backward = np.lexsort((src, dst))
-    return src, dst, forward, backward
+    if rows_sorted:
+        return None, np.argsort(dst, kind="stable")
+    src = np.repeat(np.arange(n), d)
+    return np.lexsort((dst, src)), np.lexsort((src, dst))
 
 
-def _check_symmetry(adjacency: np.ndarray) -> None:
+# Edges compared per block by the symmetry check, so its temporaries
+# stay small next to the adjacency.
+_SYMMETRY_BLOCK = 1 << 18
+
+
+def _check_symmetry(
+    adjacency: np.ndarray, forward: np.ndarray | None, backward: np.ndarray
+) -> None:
     """Verify that the neighbor relation is symmetric (vectorized)."""
-    src, dst, forward, backward = _directed_edge_orders(adjacency)
-    mismatch = (src[forward] != dst[backward]) | (
-        dst[forward] != src[backward]
-    )
-    if not mismatch.any():
+    d = adjacency.shape[1]
+    dst = adjacency.reshape(-1)
+    for start in range(0, dst.size, _SYMMETRY_BLOCK):
+        stop = min(start + _SYMMETRY_BLOCK, dst.size)
+        ahead = (
+            np.arange(start, stop) if forward is None
+            else forward[start:stop]
+        )
+        behind = backward[start:stop]
+        mismatch = (ahead // d != dst[behind]) | (dst[ahead] != behind // d)
+        if mismatch.any():
+            k = int(np.argmax(mismatch))
+            break
+    else:
         return
     # First mismatch of the two sorted pair multisets: the smaller pair
     # exists in one direction only.
-    k = int(np.argmax(mismatch))
-    pair_forward = (int(src[forward[k]]), int(dst[forward[k]]))
-    pair_backward = (int(dst[backward[k]]), int(src[backward[k]]))
+    f, b = int(ahead[k]), int(behind[k])
+    pair_forward = (f // d, int(dst[f]))
+    pair_backward = (int(dst[b]), b // d)
     if pair_forward <= pair_backward:
         u, v = pair_forward
     else:
@@ -110,20 +163,38 @@ def reverse_port_map(adjacency: np.ndarray) -> np.ndarray:
     reaches ``u`` back through its port ``q``.  The simulation engine uses
     this to gather incoming flow with a single fancy-indexing expression.
 
-    Computed via the aligned double edge sort of
+    Computed via the aligned edge orders of
     :func:`_directed_edge_orders`: position ``k`` of the forward order
     holds edge ``(u, v)`` exactly where position ``k`` of the backward
     order holds ``(v, u)``, whose port is its flat index mod ``d``.
     """
+    forward, backward = _directed_edge_orders(
+        adjacency, _rows_ascending(adjacency)
+    )
+    return _reverse_ports(adjacency, forward, backward)
+
+
+def _reverse_ports(
+    adjacency: np.ndarray, forward: np.ndarray | None, backward: np.ndarray
+) -> np.ndarray:
+    """The reverse-port map from the edge orders; consumes ``backward``."""
     n, d = adjacency.shape
-    _, _, forward, backward = _directed_edge_orders(adjacency)
+    ports = np.remainder(backward, d, out=backward)
+    if forward is None:
+        return ports.reshape(n, d)
     reverse = np.empty(n * d, dtype=np.int64)
-    reverse[forward] = backward % d
+    reverse[forward] = ports
     return reverse.reshape(n, d)
 
 
 def is_connected(adjacency: np.ndarray) -> bool:
-    """Return True if the graph described by ``adjacency`` is connected."""
+    """Return True if the graph described by ``adjacency`` is connected.
+
+    ``adjacency`` must be symmetric (validated), so its strongly
+    connected components are its components: scipy then needs no
+    transposed copy.  Weights play no part, so they are one broadcast
+    ``1.0`` that takes no memory.
+    """
     try:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
@@ -132,14 +203,14 @@ def is_connected(adjacency: np.ndarray) -> bool:
     n, d = adjacency.shape
     structure = csr_matrix(
         (
-            np.ones(n * d, dtype=np.int8),
+            np.broadcast_to(np.float64(1.0), (n * d,)),
             adjacency.reshape(-1),
             np.arange(0, n * d + 1, d),
         ),
         shape=(n, n),
     )
-    components, _ = connected_components(
-        structure, directed=False, return_labels=True
+    components = connected_components(
+        structure, directed=True, connection="strong", return_labels=False
     )
     return int(components) == 1
 

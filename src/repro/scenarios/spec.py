@@ -841,10 +841,10 @@ class ScenarioSuite:
         drivers inherit them without any plumbing.  For an explicit run
         with a report, call :func:`repro.exec.run_suite`.
 
-        ``graph`` is a prebuilt-graph cache: it must be the graph the
-        shared spec builds, and is only legal when every scenario shares
-        one graph spec.  Worker processes rebuild it from the spec, and
-        the result cache is bypassed, since a key attests only the spec.
+        ``graph`` is a prebuilt-graph override, only legal when every
+        scenario shares one graph spec.  Every shard runs on it, in
+        process or in a worker, and the result cache is bypassed, since
+        a key attests only the spec.
 
         Returns the outcomes in suite order.  A failed shard raises
         :class:`~repro.exec.SuiteExecutionError` once every shard has

@@ -1,25 +1,31 @@
 """``ScenarioSuite.run`` is one path: ``SuiteExecutor`` on the ambient config.
 
 Covers what used to differ between the serial loop and the executor:
-setting validation at every entry point, graph build sharing, failure
-reporting (with the in-process exception chained), and ambient replica
-splitting.
+setting validation at every entry point, graph build sharing (in the
+calling process, on the serial and the pool path alike), graph
+overrides, failure reporting (with the in-process exception chained),
+and ambient replica splitting.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.exec import (
+    ResultCache,
     SuiteExecutionError,
     SuiteExecutor,
     configure,
     current,
     run_suite,
 )
+from repro.graphs import families
+from repro.graphs.errors import GraphConstructionError
 from repro.scenarios import (
     AlgorithmSpec,
     GraphSpec,
@@ -101,6 +107,31 @@ def _poisoned_suite() -> ScenarioSuite:
     ))
 
 
+# The three ways a suite's shards run: in-process, on the 2-worker
+# pool, and on the pool at workers=1 (a timeout needs a killable
+# worker).
+ROUTES = [{}, {"workers": 2}, {"timeout": 60.0}]
+
+
+def _route_id(settings: dict) -> str:
+    return ",".join(f"{k}={v}" for k, v in settings.items()) or "serial"
+
+
+def _count_process_starts(monkeypatch) -> list:
+    """Record every worker process the executor starts from here."""
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        return original(self)
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", counting_start
+    )
+    return started
+
+
 class TestFailureReporting:
     @pytest.mark.parametrize(
         "settings", [{}, {"workers": 2}, {"retry": 2}],
@@ -122,18 +153,38 @@ class TestFailureReporting:
             assert cause is None
             assert "KeyError" in excinfo.value.failures[0].traceback
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_graph_build_failure_is_a_shard_failure(self, workers):
+    @pytest.mark.parametrize(
+        "settings", ROUTES, ids=[_route_id(r) for r in ROUTES]
+    )
+    def test_graph_build_failure_is_a_shard_failure(
+        self, settings, tmp_path, monkeypatch
+    ):
         good = make_suite().scenarios[0]
-        bad = replace(good, graph=GraphSpec("no_such_family", {"n": 12}))
-        with configure(workers=workers):
+        bad_spec = GraphSpec("no_such_family", {"n": 12})
+        bad = replace(good, graph=bad_spec)
+        with pytest.raises(GraphConstructionError) as direct:
+            bad_spec.build()
+        started = _count_process_starts(monkeypatch)
+        cache = ResultCache(tmp_path)
+        with configure(**settings, retry=3, cache=cache):
             with pytest.raises(
                 SuiteExecutionError, match="1 of 2 shards"
             ) as excinfo:
                 ScenarioSuite((bad, good)).run()
-        assert "unknown graph family" in excinfo.value.failures[0].error
-        # The healthy shard after the broken one still ran.
+        (failure,) = excinfo.value.failures
+        # The same "TypeName: message" on every path, and a bad spec is
+        # poisoned: no retry, however many attempts are allowed.
+        assert failure.error == (
+            f"{type(direct.value).__name__}: {direct.value}"
+        )
+        assert failure.attempts == 1
+        # The build ran in this process, so its exception is chained.
+        assert isinstance(excinfo.value.__cause__, GraphConstructionError)
+        # No worker was started for the broken shard; the healthy one
+        # still ran and was cached.
+        assert len(started) == (0 if settings == {} else 1)
         assert len(excinfo.value.report.outcomes) == 1
+        assert len(cache) == 1
 
     def test_partial_mode_returns_survivors(self):
         suite = ScenarioSuite(tuple(make_suite()) + tuple(_poisoned_suite()))
@@ -144,20 +195,68 @@ class TestFailureReporting:
         assert "KeyError" in outcomes.failures[0].error
 
 
+def _log_builds(monkeypatch, log) -> None:
+    """Append ``pid family`` to ``log`` on every ``GraphSpec.build``,
+    from whichever process builds (forked workers inherit the patch)."""
+    original = GraphSpec.build
+
+    def logging_build(self):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {self.family}\n")
+        return original(self)
+
+    monkeypatch.setattr(GraphSpec, "build", logging_build)
+
+
+def _builds(log) -> list[tuple[int, str]]:
+    if not log.exists():
+        return []
+    return [
+        (int(pid), family)
+        for pid, family in map(str.split, log.read_text().splitlines())
+    ]
+
+
 class TestGraphSharing:
-    def test_build_once_per_distinct_spec(self, monkeypatch):
-        calls = []
-        original = GraphSpec.build
-
-        def counting_build(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(GraphSpec, "build", counting_build)
+    @pytest.mark.parametrize(
+        "settings", ROUTES, ids=[_route_id(r) for r in ROUTES]
+    )
+    def test_build_once_per_distinct_spec(
+        self, settings, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "builds"
+        _log_builds(monkeypatch, log)
         suite = make_suite()  # 2 graph specs x 2 algorithms
-        suite.run()
-        assert len(calls) == 2
-        assert set(calls) == {scenario.graph for scenario in suite}
+        with configure(**settings, max_replicas_per_shard=1):
+            suite.run()  # 8 shards
+        builds = _builds(log)
+        assert sorted(family for _, family in builds) == sorted(
+            {scenario.graph.family for scenario in suite}
+        )
+        assert {pid for pid, _ in builds} == {os.getpid()}
+
+    def test_pool_builds_only_for_pending_shards(
+        self, tmp_path, monkeypatch
+    ):
+        suite = make_suite()
+        cycle_only = ScenarioSuite(
+            tuple(s for s in suite if s.graph.family == "cycle")
+        )
+        cache = ResultCache(tmp_path / "cache")
+        log = tmp_path / "builds"
+        _log_builds(monkeypatch, log)
+        run_suite(cycle_only, workers=2, cache=cache)
+        assert _builds(log) == [(os.getpid(), "cycle")]
+        log.unlink()
+        # Half cached: only the random_regular shards are pending.
+        report = run_suite(suite, workers=2, cache=cache)
+        assert (report.cached, report.computed) == (2, 2)
+        assert _builds(log) == [(os.getpid(), "random_regular")]
+        log.unlink()
+        # Fully cached: nothing to build.
+        report = run_suite(suite, workers=2, cache=cache)
+        assert report.computed == 0
+        assert _builds(log) == []
 
     def test_unhashable_param_still_runs(self):
         spec = GraphSpec("circulant", {"n": 17, "offsets": np.array([1, 3])})
@@ -179,6 +278,55 @@ class TestGraphSharing:
         assert canonical_records(outcomes) == canonical_records(
             run_scenarios(suite)
         )
+
+
+class TestGraphOverride:
+    """A ``graph=`` override is the graph of every shard, on every path."""
+
+    def _suite(self) -> ScenarioSuite:
+        return ScenarioSuite(
+            tuple(
+                Scenario(
+                    graph=GraphSpec("cycle", {"n": 12}),
+                    algorithm=AlgorithmSpec(name, seed=1),
+                    loads=LoadSpec("point_mass", {"tokens": 120}),
+                    stop=StopRule.fixed(5),
+                    replicas=2,
+                )
+                for name in ("send_floor", "rotor_router")
+            )
+        )
+
+    def test_override_reaches_every_path(self):
+        suite = self._suite()
+        override = families.build("complete", n=12)
+        expected = canonical_records(run_scenarios(suite, graph=override))
+        # The override changes the outcome, so a path that ignored it
+        # (rebuilding the cycle from the spec) could not match.
+        assert expected != canonical_records(run_scenarios(suite))
+        for settings in ROUTES:
+            with configure(**settings, max_replicas_per_shard=1):
+                outcomes = suite.run(graph=override)
+            assert canonical_records(outcomes) == expected, settings
+
+    def test_pool_override_neither_reads_nor_writes_the_cache(
+        self, tmp_path
+    ):
+        suite = self._suite()
+        override = families.build("complete", n=12)
+        expected = canonical_records(run_scenarios(suite, graph=override))
+        cache = ResultCache(tmp_path)
+        executor = SuiteExecutor(workers=2, cache=cache)
+        report = executor.run(suite, graph=override)
+        assert (report.cached, len(cache)) == (0, 0)
+        # Warm the cache with the spec-built results: an override run
+        # must still compute, on the override.
+        executor.run(suite)
+        assert len(cache) == 2
+        report = executor.run(suite, graph=override)
+        assert (report.cached, report.computed) == (0, 2)
+        assert canonical_records(report.outcomes) == expected
+        assert len(cache) == 2
 
 
 class TestAmbientReplicaSplitting:

@@ -1,5 +1,7 @@
 """Unit tests for the BalancingGraph structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,33 @@ class TestInterop:
         info = triangle(2).describe()
         assert info["n"] == 3
         assert info["d_plus"] == 4
+
+
+class TestPickle:
+    """Suite workers on a platform without fork get their graph pickled."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: families.cycle(9),
+            lambda: families.random_regular(16, 4, seed=3),
+            lambda: families.build("fat_tree", k=4),
+        ],
+        ids=["cycle", "random_regular", "fat_tree"],
+    )
+    def test_round_trip_keeps_arrays_and_read_only(self, build):
+        graph = build()
+        graph.transition_matrix()
+        back = pickle.loads(pickle.dumps(graph))
+        np.testing.assert_array_equal(back.adjacency, graph.adjacency)
+        np.testing.assert_array_equal(back.reverse_port, graph.reverse_port)
+        np.testing.assert_array_equal(
+            back.transition_matrix(), graph.transition_matrix()
+        )
+        for array in (
+            back.adjacency, back.reverse_port, back.transition_matrix()
+        ):
+            assert not array.flags.writeable
 
 
 class TestMemoryEstimate:

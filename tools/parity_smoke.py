@@ -11,7 +11,9 @@ dumps must be byte-identical, and the cached rerun must compute
 nothing.  Then, per leg:
 
 * ``plain``: the rerun reads exactly ``4 shards: 0 computed, 4 cached``
-  and ``--resume`` is accepted on the warm cache;
+  and ``--resume`` is accepted on the warm cache; then, in process, a
+  ``SuiteExecutor`` run with a ``graph=`` override (which the CLI
+  cannot express) gives the same records at 1 and 2 workers;
 * ``datacenter``: fat-tree and leaf-spine fabrics under two traffic
   models; the E16 driver's 2-worker cached JSON byte-matches its rerun;
 * ``faulted``: ``tests/exec/test_chaos.py`` passes, the 2-worker run
@@ -35,7 +37,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.exec import SuiteExecutor
 from repro.faults import FaultSpec
+from repro.graphs import families
 from repro.scenarios import (
     AlgorithmSpec,
     DynamicsSpec,
@@ -46,6 +50,7 @@ from repro.scenarios import (
     ScenarioSuite,
     StopRule,
     TopologySpec,
+    canonical_json,
 )
 
 
@@ -164,6 +169,42 @@ def same_bytes(left: Path, right: Path) -> None:
         sys.exit(f"FAIL: {left} and {right} differ")
 
 
+def override_parity() -> None:
+    """Records of a ``graph=`` override run match at 1 and 2 workers.
+
+    The override (a complete graph standing in for the suite's cycle)
+    must reach every shard, in process or in a worker.
+    """
+    spec = GraphSpec("cycle", {"n": 12})
+    suite = ScenarioSuite(
+        tuple(
+            Scenario(
+                graph=spec,
+                algorithm=AlgorithmSpec(name, seed=1),
+                loads=LoadSpec("point_mass", {"tokens": 120}),
+                stop=StopRule.fixed(5),
+                replicas=2,
+            )
+            for name in ("send_floor", "rotor_router")
+        )
+    )
+    override = families.build("complete", n=12)
+    records = {}
+    for workers in (1, 2):
+        print(
+            f"+ SuiteExecutor(workers={workers}).run(suite, graph=...)",
+            flush=True,
+        )
+        report = SuiteExecutor(workers=workers).run(suite, graph=override)
+        records[workers] = [
+            canonical_json(record.to_dict())
+            for outcome in report.outcomes
+            for record in outcome.records
+        ]
+    if records[1] != records[2]:
+        sys.exit("FAIL: graph= override records differ at 1 and 2 workers")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("leg", choices=sorted(LEGS))
@@ -203,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     same_bytes(serial, cached)
     if args.leg == "plain":
         repro_lb("scenario", spec, "--resume", *cache)
+        override_parity()
 
     if driver is not None:
         first, second = (work / f"{driver}_{n}.json" for n in ("first", "second"))
