@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.balancer import AlgorithmProperties, Balancer
 from repro.core.structured import StructuredRound
-from repro.graphs.balancing import BalancingGraph
 
 
 class SendFloor(Balancer):
@@ -86,12 +85,3 @@ class SendFloor(Balancer):
             loop_base=quotient + per_loop,
             loop_ceil=leftover,
         )
-
-
-def floor_self_loop_minimum(graph: BalancingGraph) -> bool:
-    """True if SEND(⌊x/d+⌋) can honor Def 2.1's floor condition.
-
-    It always can: every port receives at least ``⌊x/d+⌋`` by
-    construction.  Kept as an explicit documented fact used in tests.
-    """
-    return True

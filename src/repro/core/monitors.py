@@ -153,9 +153,8 @@ class TierLoadProbe(Probe):
         self._tier_names: tuple[str, ...] | None = None
 
     def start(self, graph, balancer, loads) -> None:
-        self._tiers = getattr(graph, "node_tiers", None)
-        names = getattr(graph, "tier_names", None)
-        self._tier_names = tuple(names) if names is not None else None
+        self._tiers = graph.node_tiers
+        self._tier_names = graph.tier_names
         self._last = np.array(loads, dtype=np.int64, copy=True)
 
     def observe_loads(self, t, loads) -> None:

@@ -251,12 +251,8 @@ class FaultSchedule:
             )
         self._graph = graph
         adjacency = graph.adjacency
-        n, d = adjacency.shape
-        true_degrees = getattr(graph, "true_degrees", None)
-        if true_degrees is None:
-            real = np.ones((n, d), dtype=bool)
-        else:
-            real = np.arange(d)[None, :] < true_degrees[:, None]
+        n = graph.num_nodes
+        real = graph.real_port_mask()
         self._real_mask = real
         self._real_u, self._real_p = (
             arr.astype(np.int64) for arr in np.nonzero(real)
@@ -602,7 +598,6 @@ def validate_round_faults(faults: RoundFaults, graph) -> None:
     ``dead`` and ``dropped`` are disjoint.
     """
     n, d = graph.adjacency.shape
-    true_degrees = getattr(graph, "true_degrees", None)
     flats = {}
     for label, pairs in (("dead", faults.dead), ("dropped", faults.dropped)):
         pairs = np.asarray(pairs)
@@ -618,7 +613,7 @@ def validate_round_faults(faults: RoundFaults, graph) -> None:
             raise InvalidFault(
                 f"{label} pairs out of range for a ({n}, {d}) port space"
             )
-        if true_degrees is not None and np.any(p >= true_degrees[u]):
+        if np.any(p >= graph.true_degrees[u]):
             raise InvalidFault(
                 f"{label} pairs touch padding ports; faults apply to "
                 "real links only"

@@ -1,4 +1,4 @@
-"""Graph substrate: d-regular graphs, balancing graphs, spectral tools."""
+"""Graph substrate: one port layout (regular, padded, mutable), spectra."""
 
 from repro.graphs.balancing import BalancingGraph
 from repro.graphs.errors import (
@@ -29,6 +29,7 @@ from repro.graphs.irregular import (
     from_networkx_irregular,
 )
 from repro.graphs.mutable import MutableBalancingGraph
+from repro.graphs.ports import PortGraph
 from repro.graphs.spectral import (
     SpectralProfile,
     continuous_balancing_time,
@@ -42,6 +43,7 @@ from repro.graphs.spectral import (
 )
 
 __all__ = [
+    "PortGraph",
     "BalancingGraph",
     "GraphError",
     "GraphValidationError",

@@ -10,7 +10,11 @@ d-regular graph) and the *balancing graph* ``G+``, obtained by attaching
 
 :class:`BalancingGraph` is an immutable description of this structure
 with precomputed index maps so the engine can execute a full synchronous
-round with a handful of vectorized numpy operations.
+round with a handful of vectorized numpy operations.  Its port layout,
+walk matrix, BFS and connectivity live in the shared base
+:class:`~repro.graphs.ports.PortGraph`; a d-regular graph is the padded
+graph with no padding.  This module keeps the regular constructors and
+the metric helpers (diameter, odd girth) the experiments use.
 """
 
 from __future__ import annotations
@@ -21,15 +25,18 @@ from typing import Iterable
 import numpy as np
 
 from repro.graphs.errors import GraphValidationError
+from repro.graphs.ports import PortGraph
 from repro.graphs.validation import (
-    is_connected,
     require_connected,
     validate_with_reverse_ports,
 )
 
 
-class BalancingGraph:
+class BalancingGraph(PortGraph):
     """A d-regular graph augmented with ``num_self_loops`` per-node loops.
+
+    The unpadded case of :class:`~repro.graphs.ports.PortGraph`: every
+    port of the original block is a real edge.
 
     Args:
         adjacency: ``(n, d)`` integer array; ``adjacency[u]`` lists the
@@ -57,67 +64,14 @@ class BalancingGraph:
             raise GraphValidationError(
                 f"num_self_loops must be >= 0, got {num_self_loops}"
             )
-        self._adjacency = adjacency
-        self._adjacency.setflags(write=False)
-        self._num_self_loops = int(num_self_loops)
-        self._reverse_port = reverse_port
-        self._reverse_port.setflags(write=False)
-        self.name = name or f"graph(n={self.num_nodes}, d={self.degree})"
-        self._transition_matrix: np.ndarray | None = None
-        self._transition_matrix_sparse = None
-
-    # ------------------------------------------------------------------
-    # Basic structure
-    # ------------------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes ``n``."""
-        return self._adjacency.shape[0]
-
-    @property
-    def degree(self) -> int:
-        """Original degree ``d`` (number of non-self-loop edges per node)."""
-        return self._adjacency.shape[1]
-
-    @property
-    def num_self_loops(self) -> int:
-        """Number of self-loops per node, the paper's ``d°``."""
-        return self._num_self_loops
-
-    @property
-    def total_degree(self) -> int:
-        """Degree of the balancing graph, the paper's ``d+ = d + d°``."""
-        return self.degree + self._num_self_loops
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Read-only ``(n, d)`` neighbor array."""
-        return self._adjacency
-
-    @property
-    def reverse_port(self) -> np.ndarray:
-        """Read-only reverse-port map (see
-        :func:`~repro.graphs.validation.reverse_port_map`)."""
-        return self._reverse_port
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Neighbors of ``node`` over original edges, in port order."""
-        return tuple(int(v) for v in self._adjacency[node])
-
-    def port_target(self, node: int, port: int) -> int:
-        """Destination of ``port`` at ``node`` (self for self-loop ports)."""
-        if not 0 <= port < self.total_degree:
-            raise IndexError(
-                f"port {port} out of range [0, {self.total_degree})"
-            )
-        if port < self.degree:
-            return int(self._adjacency[node, port])
-        return node
-
-    def is_original_port(self, port: int) -> bool:
-        """True if ``port`` indexes an original edge rather than a loop."""
-        return 0 <= port < self.degree
+        n, d = adjacency.shape
+        super().__init__(
+            adjacency,
+            reverse_port,
+            None,
+            num_self_loops,
+            name=name or f"graph(n={n}, d={d})",
+        )
 
     def num_edges(self) -> int:
         """Number of undirected original edges ``|E| = n d / 2``."""
@@ -140,98 +94,8 @@ class BalancingGraph:
         )
 
     # ------------------------------------------------------------------
-    # Markov chain view
-    # ------------------------------------------------------------------
-
-    def transition_matrix(self) -> np.ndarray:
-        """Transition matrix ``P`` of the random walk on ``G+``.
-
-        ``P[u, v] = 1/d+`` for each original edge ``(u, v)``, and
-        ``P[u, u] = d°/d+``.  The result is cached; callers must not
-        mutate it.
-        """
-        if self._transition_matrix is None:
-            n = self.num_nodes
-            d_plus = self.total_degree
-            if d_plus == 0:
-                raise GraphValidationError("graph has no edges at all")
-            matrix = np.zeros((n, n), dtype=np.float64)
-            rows = np.repeat(np.arange(n), self.degree)
-            cols = self._adjacency.reshape(-1)
-            np.add.at(matrix, (rows, cols), 1.0 / d_plus)
-            matrix[np.arange(n), np.arange(n)] += (
-                self._num_self_loops / d_plus
-            )
-            matrix.setflags(write=False)
-            self._transition_matrix = matrix
-        return self._transition_matrix
-
-    def transition_matrix_sparse(self):
-        """``P`` as a scipy CSR matrix, built directly from adjacency.
-
-        Never materializes the dense ``(n, n)`` array: the row pattern
-        of a regular graph with loops is fixed (``d`` neighbors plus an
-        optional diagonal entry), so ``indptr``/``indices``/``data``
-        are assembled with a handful of vectorized operations.  The
-        result is cached; callers must not mutate it.
-        """
-        if self._transition_matrix_sparse is None:
-            from scipy.sparse import csr_matrix
-
-            n = self.num_nodes
-            d = self.degree
-            d_plus = self.total_degree
-            if d_plus == 0:
-                raise GraphValidationError("graph has no edges at all")
-            if self._num_self_loops > 0:
-                cols = np.concatenate(
-                    [self._adjacency, np.arange(n)[:, None]], axis=1
-                )
-                data = np.full((n, d + 1), 1.0 / d_plus)
-                data[:, d] = self._num_self_loops / d_plus
-            else:
-                cols = np.array(self._adjacency)
-                data = np.full((n, d), 1.0 / d_plus)
-            # CSR wants sorted column indices within each row.
-            order = np.argsort(cols, axis=1)
-            cols = np.take_along_axis(cols, order, axis=1)
-            data = np.take_along_axis(data, order, axis=1)
-            width = cols.shape[1]
-            self._transition_matrix_sparse = csr_matrix(
-                (
-                    data.reshape(-1),
-                    cols.reshape(-1),
-                    np.arange(0, n * width + 1, width),
-                ),
-                shape=(n, n),
-            )
-        return self._transition_matrix_sparse
-
-    # ------------------------------------------------------------------
     # Metric structure
     # ------------------------------------------------------------------
-
-    def distances_from(self, source: int) -> np.ndarray:
-        """BFS distances (in ``G``, ignoring self-loops) from ``source``.
-
-        Frontier-vectorized: each level expands the whole frontier with
-        one adjacency gather instead of a Python queue, so the cost is
-        O(diameter) numpy calls rather than O(n·d) interpreter steps.
-        """
-        n = self.num_nodes
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            candidates = self._adjacency[frontier].reshape(-1)
-            candidates = candidates[dist[candidates] < 0]
-            if candidates.size == 0:
-                break
-            frontier = np.unique(candidates)
-            dist[frontier] = level
-        return dist
 
     def diameter(self) -> int:
         """Exact diameter of ``G`` via all-sources BFS (small graphs)."""
@@ -272,10 +136,6 @@ class BalancingGraph:
     def is_bipartite(self) -> bool:
         """True if ``G`` contains no odd cycle."""
         return self.odd_girth() is None
-
-    def is_connected(self) -> bool:
-        """True if the original graph is connected."""
-        return is_connected(self._adjacency)
 
     # ------------------------------------------------------------------
     # Interop
@@ -349,23 +209,6 @@ class BalancingGraph:
 
     # ------------------------------------------------------------------
 
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writable (a suite worker on a
-        # platform without fork receives its graph this way); a graph's
-        # arrays stay read-only.
-        self.__dict__.update(state)
-        for array in (
-            self._adjacency, self._reverse_port, self._transition_matrix
-        ):
-            if array is not None:
-                array.setflags(write=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BalancingGraph(name={self.name!r}, n={self.num_nodes}, "
-            f"d={self.degree}, self_loops={self.num_self_loops})"
-        )
-
     def describe(self) -> dict:
         """Summary dictionary used by experiment reports."""
         return {
@@ -376,14 +219,6 @@ class BalancingGraph:
             "d_plus": self.total_degree,
             "edges": self.num_edges(),
         }
-
-
-def degree_histogram(adjacency: np.ndarray) -> dict[int, int]:
-    """Histogram of row lengths; useful when diagnosing validation errors."""
-    counts: dict[int, int] = {}
-    for row in adjacency:
-        counts[len(row)] = counts.get(len(row), 0) + 1
-    return counts
 
 
 def estimate_memory_bytes(

@@ -10,12 +10,13 @@ doubly stochastic, so the continuous process balances to the *uniform*
 vector (plain per-degree diffusion would converge to loads
 proportional to degree — not what load balancing wants).
 
-:class:`PaddedBalancingGraph` implements exactly the structural
-protocol the engine and balancers consume (``num_nodes``, ``degree``,
-``total_degree``, ``num_self_loops``, ``adjacency``, ``reverse_port``,
-``transition_matrix``, …), with padded ports encoded as self-entries
-whose reverse port is themselves — the engine's gather then returns
-those tokens to their sender, which is precisely self-loop semantics.
+:class:`PaddedBalancingGraph` is the padded case of the shared port
+layout :class:`~repro.graphs.ports.PortGraph` (which also carries the
+walk matrix, BFS and the tier channel): padded ports are encoded as
+self-entries whose reverse port is themselves — the engine's gather
+then returns those tokens to their sender, which is precisely
+self-loop semantics.  This module keeps the padded constructor and the
+edge-list builders.
 
 Every balancer in :mod:`repro.algorithms` runs unchanged on a padded
 graph.  Fairness semantics: padded ports sit in the original block, so
@@ -36,13 +37,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.graphs.errors import GraphValidationError
+from repro.graphs.ports import PortGraph
+from repro.graphs.validation import validate_padded
 
 
-class PaddedBalancingGraph:
+class PaddedBalancingGraph(PortGraph):
     """An irregular graph padded to uniform degree ``d_max``.
 
-    Build with :func:`from_irregular_edges` or
-    :func:`from_networkx_irregular`; the constructor takes already
+    Build with :func:`from_irregular_edges`, :func:`from_edge_arrays`
+    or :func:`from_networkx_irregular`; the constructor takes already
     padded arrays and verifies their consistency.
 
     Args:
@@ -79,263 +82,15 @@ class PaddedBalancingGraph:
             raise GraphValidationError(
                 "adjacency width must equal the maximum true degree"
             )
-        self._check_padding(adjacency, true_degrees)
-        self._adjacency = adjacency
-        self._adjacency.setflags(write=False)
-        self.true_degrees = true_degrees
-        self._num_self_loops = int(num_self_loops)
-        self._reverse_port = self._padded_reverse_port(
-            adjacency, true_degrees
+        super().__init__(
+            adjacency,
+            validate_padded(adjacency, true_degrees),
+            true_degrees,
+            num_self_loops,
+            name=name or f"padded(n={n}, d_max={d_max})",
+            node_tiers=node_tiers,
+            tier_names=tier_names,
         )
-        self._reverse_port.setflags(write=False)
-        self.name = name or f"padded(n={n}, d_max={d_max})"
-        self._transition_matrix: np.ndarray | None = None
-        self._transition_matrix_sparse = None
-        self._node_tiers: np.ndarray | None = None
-        self._tier_names: tuple[str, ...] | None = None
-        if (node_tiers is None) != (tier_names is None):
-            raise GraphValidationError(
-                "node_tiers and tier_names must be given together"
-            )
-        if node_tiers is not None:
-            tiers = np.ascontiguousarray(node_tiers, dtype=np.int64)
-            names = tuple(str(t) for t in tier_names)
-            if tiers.shape != (n,):
-                raise GraphValidationError(
-                    "node_tiers length must match the number of nodes"
-                )
-            if not names:
-                raise GraphValidationError("tier_names must be non-empty")
-            if tiers.min() < 0 or tiers.max() >= len(names):
-                raise GraphValidationError(
-                    "node_tiers values must index into tier_names"
-                )
-            tiers.setflags(write=False)
-            self._node_tiers = tiers
-            self._tier_names = names
-
-    @staticmethod
-    def _check_padding(adjacency: np.ndarray, degrees: np.ndarray) -> None:
-        n, d_max = adjacency.shape
-        ports = np.arange(d_max)
-        real = ports[None, :] < degrees[:, None]
-        own = adjacency == np.arange(n)[:, None]
-        bad = real & own
-        if bad.any():
-            u = int(np.nonzero(bad.any(axis=1))[0][0])
-            raise GraphValidationError(
-                f"node {u}: real neighbor block contains itself"
-            )
-        bad = ~real & ~own
-        if bad.any():
-            u = int(np.nonzero(bad.any(axis=1))[0][0])
-            raise GraphValidationError(
-                f"node {u}: padding ports must point to the node itself"
-            )
-        # Distinct per-row sentinels >= n for the padding slots keep
-        # them out of the duplicate scan without a ragged loop.
-        keyed = np.where(real, adjacency, n + ports[None, :])
-        keyed = np.sort(keyed, axis=1)
-        dup = keyed[:, 1:] == keyed[:, :-1]
-        if dup.any():
-            u = int(np.nonzero(dup.any(axis=1))[0][0])
-            raise GraphValidationError(
-                f"node {u}: duplicate real neighbors"
-            )
-
-    @staticmethod
-    def _padded_reverse_port(
-        adjacency: np.ndarray, degrees: np.ndarray
-    ) -> np.ndarray:
-        n, d_max = adjacency.shape
-        ports = np.arange(d_max)
-        real = ports[None, :] < degrees[:, None]
-        us, ps = np.nonzero(real)
-        vs = adjacency[us, ps]
-        # Match each directed real edge (u, v) with its reverse (v, u)
-        # by key lookup; a missing reverse means asymmetric input.
-        keys = us * n + vs
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        wanted = vs * n + us
-        pos = np.searchsorted(sorted_keys, wanted)
-        missing = (pos >= len(sorted_keys)) | (
-            sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] != wanted
-        )
-        if missing.any():
-            i = int(np.nonzero(missing)[0][0])
-            raise GraphValidationError(
-                f"edge ({int(us[i])}, {int(vs[i])}) is not symmetric"
-            )
-        # Padding port: its own reverse — the engine's gather returns
-        # the tokens to the sender.
-        reverse = np.broadcast_to(ports, (n, d_max)).copy()
-        reverse[us, ps] = ps[order][pos]
-        return reverse
-
-    # ------------------------------------------------------------------
-    # Structural protocol consumed by the engine / balancers
-    # ------------------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self._adjacency.shape[0]
-
-    @property
-    def degree(self) -> int:
-        """Width of the original-port block (``d_max``, incl. padding)."""
-        return self._adjacency.shape[1]
-
-    @property
-    def num_self_loops(self) -> int:
-        return self._num_self_loops
-
-    @property
-    def total_degree(self) -> int:
-        return self.degree + self._num_self_loops
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self._adjacency
-
-    @property
-    def reverse_port(self) -> np.ndarray:
-        return self._reverse_port
-
-    @property
-    def node_tiers(self) -> np.ndarray | None:
-        """Per-node tier ids, or ``None`` for untiered graphs."""
-        return self._node_tiers
-
-    @property
-    def tier_names(self) -> tuple[str, ...] | None:
-        """Names indexed by :attr:`node_tiers`, or ``None``."""
-        return self._tier_names
-
-    def tier_counts(self) -> dict[str, int]:
-        """Node count per tier name (empty for untiered graphs)."""
-        if self._node_tiers is None:
-            return {}
-        counts = np.bincount(
-            self._node_tiers, minlength=len(self._tier_names)
-        )
-        return {
-            name: int(count)
-            for name, count in zip(self._tier_names, counts)
-        }
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Real neighbors only (padding excluded)."""
-        deg = int(self.true_degrees[node])
-        return tuple(int(v) for v in self._adjacency[node, :deg])
-
-    def port_target(self, node: int, port: int) -> int:
-        if not 0 <= port < self.total_degree:
-            raise IndexError(
-                f"port {port} out of range [0, {self.total_degree})"
-            )
-        if port < self.degree:
-            return int(self._adjacency[node, port])
-        return node
-
-    def is_original_port(self, port: int) -> bool:
-        return 0 <= port < self.degree
-
-    def padding_count(self, node: int) -> int:
-        """Structural self-loops introduced by padding at ``node``."""
-        return self.degree - int(self.true_degrees[node])
-
-    # ------------------------------------------------------------------
-    # Markov chain view
-    # ------------------------------------------------------------------
-
-    def _real_edge_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed real edges ``(us, ps, vs)`` (padding excluded)."""
-        ports = np.arange(self.degree)
-        real = ports[None, :] < self.true_degrees[:, None]
-        us, ps = np.nonzero(real)
-        return us, ps, self._adjacency[us, ps]
-
-    def transition_matrix(self) -> np.ndarray:
-        """Doubly stochastic walk matrix of the padded graph."""
-        if self._transition_matrix is None:
-            n = self.num_nodes
-            d_plus = self.total_degree
-            matrix = np.zeros((n, n), dtype=np.float64)
-            us, _, vs = self._real_edge_arrays()
-            np.add.at(matrix, (us, vs), 1.0 / d_plus)
-            diag = np.arange(n)
-            matrix[diag, diag] += (
-                self._num_self_loops
-                + self.degree
-                - self.true_degrees
-            ) / d_plus
-            matrix.setflags(write=False)
-            self._transition_matrix = matrix
-        return self._transition_matrix
-
-    def transition_matrix_sparse(self):
-        """``P`` as a scipy CSR matrix, built directly from adjacency.
-
-        Never materializes the dense ``(n, n)`` array: the real edges
-        each carry mass ``1/d+`` and the diagonal absorbs the lazy
-        loops plus the padding loops, exactly as in
-        :meth:`transition_matrix`.  The result is cached; callers must
-        not mutate it.
-        """
-        if self._transition_matrix_sparse is None:
-            from scipy.sparse import coo_matrix
-
-            n = self.num_nodes
-            d_plus = self.total_degree
-            us, _, vs = self._real_edge_arrays()
-            diag = np.arange(n)
-            rows = np.concatenate([us, diag])
-            cols = np.concatenate([vs, diag])
-            data = np.concatenate(
-                [
-                    np.full(us.shape, 1.0 / d_plus),
-                    (
-                        self._num_self_loops
-                        + self.degree
-                        - self.true_degrees
-                    )
-                    / d_plus,
-                ]
-            )
-            self._transition_matrix_sparse = coo_matrix(
-                (data, (rows, cols)), shape=(n, n)
-            ).tocsr()
-        return self._transition_matrix_sparse
-
-    # ------------------------------------------------------------------
-    # Metric helpers (real edges only)
-    # ------------------------------------------------------------------
-
-    def distances_from(self, source: int) -> np.ndarray:
-        """Hop distances over real edges, frontier-vectorized BFS.
-
-        Padding entries point at their own node, whose distance is
-        already set by the time the node enters a frontier, so they
-        drop out of every ``fresh`` mask for free.
-        """
-        n = self.num_nodes
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            reached = self._adjacency[frontier].ravel()
-            fresh = np.unique(reached[dist[reached] < 0])
-            level += 1
-            dist[fresh] = level
-            frontier = fresh
-        return dist
-
-    def is_connected(self) -> bool:
-        return bool((self.distances_from(0) >= 0).all())
 
     def describe(self) -> dict:
         info = {
@@ -350,22 +105,6 @@ class PaddedBalancingGraph:
             info["tiers"] = self.tier_counts()
         return info
 
-    def __setstate__(self, state: dict) -> None:
-        # As BalancingGraph.__setstate__: unpickled arrays stay read-only.
-        self.__dict__.update(state)
-        for array in (
-            self._adjacency, self._reverse_port, self._node_tiers,
-            self._transition_matrix,
-        ):
-            if array is not None:
-                array.setflags(write=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PaddedBalancingGraph(name={self.name!r}, "
-            f"n={self.num_nodes}, d_max={self.degree})"
-        )
-
 
 def from_edge_arrays(
     num_nodes: int,
@@ -379,11 +118,12 @@ def from_edge_arrays(
 ) -> PaddedBalancingGraph:
     """Pad an undirected edge set given as parallel index arrays.
 
-    The fully vectorized sibling of :func:`from_irregular_edges` —
-    the construction path for generated fabrics (fat-tree, leaf-spine)
-    whose edge sets are assembled as numpy arrays.  Each undirected
-    edge appears once in ``(sources, targets)``; neighbor blocks come
-    out sorted ascending, exactly like :func:`from_irregular_edges`.
+    The one construction path of the padded builders: generated
+    fabrics (fat-tree, leaf-spine) assemble their edge sets as numpy
+    arrays, :func:`from_irregular_edges` converts its edge list.  Each
+    undirected edge appears once in ``(sources, targets)``; neighbor
+    blocks come out sorted ascending.  ``num_self_loops`` defaults to
+    ``d_max``.
     """
     sources = np.ascontiguousarray(sources, dtype=np.int64).ravel()
     targets = np.ascontiguousarray(targets, dtype=np.int64).ravel()
@@ -439,7 +179,9 @@ def from_edge_arrays(
         node_tiers=node_tiers,
         tier_names=tier_names,
     )
-    if not graph.is_connected():
+    # A BFS from node 0 rather than is_connected(): fabrics have a
+    # small diameter, and scipy's csgraph import would add ~10 MB RSS.
+    if (graph.distances_from(0) < 0).any():
         raise GraphValidationError("irregular input graph is disconnected")
     return graph
 
@@ -458,44 +200,16 @@ def from_irregular_edges(
     ``num_self_loops`` defaults to ``d_max`` (the lazy d° = d setting
     after regularization, so Theorem 2.3(i)/(ii) and 3.3 apply).
     """
-    neighbor_lists: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        if u == v:
-            raise GraphValidationError(
-                "irregular input must not contain explicit self-loops"
-            )
-        if v in neighbor_lists[u]:
-            raise GraphValidationError(
-                f"duplicate edge ({u}, {v}) in irregular input"
-            )
-        neighbor_lists[u].append(v)
-        neighbor_lists[v].append(u)
-    degrees = np.array(
-        [len(lst) for lst in neighbor_lists], dtype=np.int64
-    )
-    if degrees.min() == 0:
-        isolated = int(np.argmin(degrees))
-        raise GraphValidationError(
-            f"node {isolated} has no edges; graph must be connected"
-        )
-    d_max = int(degrees.max())
-    adjacency = np.empty((num_nodes, d_max), dtype=np.int64)
-    for u in range(num_nodes):
-        row = sorted(neighbor_lists[u])
-        adjacency[u] = row + [u] * (d_max - len(row))
-    if num_self_loops is None:
-        num_self_loops = d_max
-    graph = PaddedBalancingGraph(
-        adjacency,
-        degrees,
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return from_edge_arrays(
+        num_nodes,
+        pairs[:, 0],
+        pairs[:, 1],
         num_self_loops,
-        name=name or f"irregular(n={num_nodes}, d_max={d_max})",
+        name=name,
         node_tiers=node_tiers,
         tier_names=tier_names,
     )
-    if not graph.is_connected():
-        raise GraphValidationError("irregular input graph is disconnected")
-    return graph
 
 
 def from_networkx_irregular(

@@ -19,7 +19,9 @@ trajectories — whose sends depend on port order — bit-identical between
 the incremental engines and the rebuild-from-scratch reference
 simulator in ``tests/differential``.
 
-Padding semantics are inherited from the irregular layer: a padding
+The port layout, tier channel, BFS and connectivity come from the
+shared base :class:`~repro.graphs.ports.PortGraph`, which is where
+fault and topology schedules read the real-port mask too.  A padding
 port points at its own node and is its own reverse, so the engine's
 gather bounces its tokens straight back — self-loop behavior.  A node
 with every edge removed (a *left* node) keeps balancing against itself
@@ -33,21 +35,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.graphs.errors import GraphValidationError
-from repro.graphs.irregular import PaddedBalancingGraph
+from repro.graphs.ports import PortGraph
+from repro.graphs.validation import validate_padded
 
 __all__ = ["MutableBalancingGraph"]
 
 
-class MutableBalancingGraph:
+class MutableBalancingGraph(PortGraph):
     """A padded balancing graph with writable structure.
 
-    Exposes the same structural protocol the engines and balancers
-    consume (``num_nodes``, ``degree``, ``total_degree``,
-    ``num_self_loops``, ``adjacency``, ``reverse_port``,
-    ``true_degrees``, tiers) with three differences:
+    Shares the port layout of :class:`~repro.graphs.ports.PortGraph`
+    with three differences:
 
     * the arrays are writable and mutated in place by the edge/node
-      operations below;
+      operations below, so the walk matrices are rebuilt on every call;
     * ``degree`` is a fixed port *capacity* ``d_max`` — true degrees
       may all sink below it under churn (the immutable class requires
       ``true_degrees.max() == d_max``);
@@ -58,7 +59,14 @@ class MutableBalancingGraph:
     adjacency/reverse-port row changed, including far endpoints touched
     by swap-remove repairs — which :meth:`consume_dirty` hands to the
     balancer's incremental refresh.
+
+    ``reverse_port``, when given, must belong to a validated layout
+    (:meth:`from_graph` copies a built graph's); without it the layout
+    is validated and the map computed.
     """
+
+    # Only the tier channel stays read-only; the ports are edited.
+    _LOCKED = ("_node_tiers",)
 
     def __init__(
         self,
@@ -71,35 +79,23 @@ class MutableBalancingGraph:
         name: str = "",
         node_tiers: np.ndarray | Sequence[int] | None = None,
         tier_names: Sequence[str] | None = None,
-        validate: bool = True,
     ) -> None:
-        self._adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
-        self.true_degrees = np.ascontiguousarray(
-            true_degrees, dtype=np.int64
-        )
-        n, d_max = self._adjacency.shape
-        if self.true_degrees.shape != (n,):
+        adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
+        true_degrees = np.ascontiguousarray(true_degrees, dtype=np.int64)
+        n, d_max = adjacency.shape
+        if true_degrees.shape != (n,):
             raise GraphValidationError(
                 "true_degrees length must match adjacency rows"
             )
         if num_self_loops < 0:
             raise GraphValidationError("num_self_loops must be >= 0")
-        if validate:
-            PaddedBalancingGraph._check_padding(
-                self._adjacency, self.true_degrees
-            )
         if reverse_port is None:
-            reverse_port = PaddedBalancingGraph._padded_reverse_port(
-                self._adjacency, self.true_degrees
-            )
-        self._reverse_port = np.ascontiguousarray(
-            reverse_port, dtype=np.int64
-        )
-        if self._reverse_port.shape != (n, d_max):
+            reverse_port = validate_padded(adjacency, true_degrees)
+        reverse_port = np.ascontiguousarray(reverse_port, dtype=np.int64)
+        if reverse_port.shape != (n, d_max):
             raise GraphValidationError(
                 "reverse_port shape must match adjacency"
             )
-        self._num_self_loops = int(num_self_loops)
         if active is None:
             active = np.ones(n, dtype=bool)
         self.active = np.ascontiguousarray(active, dtype=bool)
@@ -107,18 +103,15 @@ class MutableBalancingGraph:
             raise GraphValidationError(
                 "active mask length must match the number of nodes"
             )
-        self.name = name or f"mutable(n={n}, d_max={d_max})"
-        self._node_tiers = None
-        self._tier_names = None
-        if (node_tiers is None) != (tier_names is None):
-            raise GraphValidationError(
-                "node_tiers and tier_names must be given together"
-            )
-        if node_tiers is not None:
-            self._node_tiers = np.ascontiguousarray(
-                node_tiers, dtype=np.int64
-            )
-            self._tier_names = tuple(str(t) for t in tier_names)
+        super().__init__(
+            adjacency,
+            reverse_port,
+            true_degrees,
+            num_self_loops,
+            name=name or f"mutable(n={n}, d_max={d_max})",
+            node_tiers=node_tiers,
+            tier_names=tier_names,
+        )
         self._dirty: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -126,7 +119,7 @@ class MutableBalancingGraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph) -> "MutableBalancingGraph":
+    def from_graph(cls, graph: PortGraph) -> "MutableBalancingGraph":
         """A writable deep copy of any balancing graph.
 
         The engines always copy before mutating: prebuilt graphs are
@@ -134,22 +127,14 @@ class MutableBalancingGraph:
         replicas, and an immutable graph's arrays are write-locked
         anyway.
         """
-        n = graph.num_nodes
-        d = graph.degree
-        true_degrees = getattr(graph, "true_degrees", None)
-        if true_degrees is None:
-            true_degrees = np.full(n, d, dtype=np.int64)
-        else:
-            true_degrees = true_degrees.copy()
         return cls(
             graph.adjacency.copy(),
-            true_degrees,
+            graph.true_degrees.copy(),
             graph.num_self_loops,
             reverse_port=graph.reverse_port.copy(),
-            name=f"mutable({getattr(graph, 'name', '')})",
-            node_tiers=getattr(graph, "node_tiers", None),
-            tier_names=getattr(graph, "tier_names", None),
-            validate=False,
+            name=f"mutable({graph.name})",
+            node_tiers=graph.node_tiers,
+            tier_names=graph.tier_names,
         )
 
     @classmethod
@@ -195,64 +180,11 @@ class MutableBalancingGraph:
         return graph
 
     # ------------------------------------------------------------------
-    # Structural protocol consumed by the engine / balancers
+    # Structure of the current topology
     # ------------------------------------------------------------------
 
-    @property
-    def num_nodes(self) -> int:
-        return self._adjacency.shape[0]
-
-    @property
-    def degree(self) -> int:
-        """Port capacity ``d_max`` (original block width, incl. padding)."""
-        return self._adjacency.shape[1]
-
-    @property
-    def num_self_loops(self) -> int:
-        return self._num_self_loops
-
-    @property
-    def total_degree(self) -> int:
-        return self.degree + self._num_self_loops
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self._adjacency
-
-    @property
-    def reverse_port(self) -> np.ndarray:
-        return self._reverse_port
-
-    @property
-    def node_tiers(self) -> np.ndarray | None:
-        return self._node_tiers
-
-    @property
-    def tier_names(self) -> tuple[str, ...] | None:
-        return self._tier_names
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Real neighbors only (padding excluded)."""
-        deg = int(self.true_degrees[node])
-        return tuple(int(v) for v in self._adjacency[node, :deg])
-
-    def port_target(self, node: int, port: int) -> int:
-        if not 0 <= port < self.total_degree:
-            raise IndexError(
-                f"port {port} out of range [0, {self.total_degree})"
-            )
-        if port < self.degree:
-            return int(self._adjacency[node, port])
-        return node
-
-    def is_original_port(self, port: int) -> bool:
-        return 0 <= port < self.degree
-
-    def padding_count(self, node: int) -> int:
-        return self.degree - int(self.true_degrees[node])
-
     def has_edge(self, u: int, v: int) -> bool:
-        deg = int(self.true_degrees[u])
+        deg = int(self._true_degrees[u])
         # Rows are at most d_max entries: a python-level membership test
         # on the materialized block beats a numpy comparison kernel by
         # an order of magnitude at these sizes, and this runs on every
@@ -264,20 +196,11 @@ class MutableBalancingGraph:
 
         Recomputed on every call — a mutable graph cannot cache it.
         """
-        n = self.num_nodes
-        d_plus = self.total_degree
-        matrix = np.zeros((n, n), dtype=np.float64)
-        ports = np.arange(self.degree)
-        real = ports[None, :] < self.true_degrees[:, None]
-        us, ps = np.nonzero(real)
-        np.add.at(
-            matrix, (us, self._adjacency[us, ps]), 1.0 / d_plus
-        )
-        diag = np.arange(n)
-        matrix[diag, diag] += (
-            self._num_self_loops + self.degree - self.true_degrees
-        ) / d_plus
-        return matrix
+        return self._walk_matrix()
+
+    def transition_matrix_sparse(self):
+        """CSR walk matrix of the current topology, rebuilt per call."""
+        return self._walk_matrix_sparse()
 
     def describe(self) -> dict:
         return {
@@ -309,8 +232,8 @@ class MutableBalancingGraph:
             raise GraphValidationError(
                 f"edge ({u}, {v}) already present"
             )
-        pu = int(self.true_degrees[u])
-        pv = int(self.true_degrees[v])
+        pu = int(self._true_degrees[u])
+        pv = int(self._true_degrees[v])
         if pu >= self.degree or pv >= self.degree:
             raise GraphValidationError(
                 f"cannot add edge ({u}, {v}): port capacity "
@@ -320,14 +243,14 @@ class MutableBalancingGraph:
         self._adjacency[v, pv] = u
         self._reverse_port[u, pu] = pv
         self._reverse_port[v, pv] = pu
-        self.true_degrees[u] = pu + 1
-        self.true_degrees[v] = pv + 1
+        self._true_degrees[u] = pu + 1
+        self._true_degrees[v] = pv + 1
         self._dirty.add(u)
         self._dirty.add(v)
 
     def drop_edge(self, u: int, v: int) -> None:
         """Sever the edge between ``u`` and ``v`` (swap-remove)."""
-        deg = int(self.true_degrees[u])
+        deg = int(self._true_degrees[u])
         try:
             pu = self._adjacency[u, :deg].tolist().index(v)
         except ValueError:
@@ -340,7 +263,7 @@ class MutableBalancingGraph:
 
     def _remove_port(self, u: int, p: int) -> None:
         """Vacate real port ``p`` of ``u``: last real port moves in."""
-        last = int(self.true_degrees[u]) - 1
+        last = int(self._true_degrees[u]) - 1
         if p != last:
             w = int(self._adjacency[u, last])
             q = int(self._reverse_port[u, last])
@@ -352,7 +275,7 @@ class MutableBalancingGraph:
             self._dirty.add(w)
         self._adjacency[u, last] = u
         self._reverse_port[u, last] = last
-        self.true_degrees[u] = last
+        self._true_degrees[u] = last
         self._dirty.add(u)
 
     def deactivate_node(self, u: int) -> tuple[int, ...]:
@@ -377,7 +300,7 @@ class MutableBalancingGraph:
         """Re-admit ``u``, wiring it to ``neighbors`` in given order."""
         if self.active[u]:
             raise GraphValidationError(f"node {u} is already active")
-        if self.true_degrees[u] != 0:
+        if self._true_degrees[u] != 0:
             raise GraphValidationError(
                 f"inactive node {u} still has real edges"
             )
@@ -403,37 +326,12 @@ class MutableBalancingGraph:
 
     def check_consistency(self) -> None:
         """Full structural re-validation (O(n·d); tests only)."""
-        PaddedBalancingGraph._check_padding(
-            self._adjacency, self.true_degrees
-        )
-        n, d = self._adjacency.shape
-        ports = np.arange(d)
-        real = ports[None, :] < self.true_degrees[:, None]
-        us, ps = np.nonzero(real)
-        vs = self._adjacency[us, ps]
-        qs = self._reverse_port[us, ps]
-        if np.any((qs < 0) | (qs >= self.true_degrees[vs])):
-            raise GraphValidationError(
-                "reverse_port points outside the far real block"
-            )
-        if not np.array_equal(self._adjacency[vs, qs], us):
+        expected = validate_padded(self._adjacency, self.true_degrees)
+        if not np.array_equal(self._reverse_port, expected):
             raise GraphValidationError(
                 "reverse_port does not invert adjacency"
             )
-        pad_rev = self._reverse_port[~real]
-        pad_ports = np.broadcast_to(ports, (n, d))[~real]
-        if not np.array_equal(pad_rev, pad_ports):
-            raise GraphValidationError(
-                "padding ports must be their own reverse"
-            )
-        if np.any(self.true_degrees[~self.active] != 0):
+        if np.any(self._true_degrees[~self.active] != 0):
             raise GraphValidationError(
                 "inactive nodes must have zero real edges"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MutableBalancingGraph(name={self.name!r}, "
-            f"n={self.num_nodes}, d_max={self.degree}, "
-            f"active={int(self.active.sum())})"
-        )

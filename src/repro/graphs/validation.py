@@ -1,8 +1,10 @@
-"""Structural validation for d-regular adjacency arrays.
+"""Structural validation for port layouts.
 
 The engine assumes the *original* graph ``G`` is a simple, connected,
-undirected, d-regular graph given as an ``(n, d)`` integer array where
-``adjacency[u]`` lists the neighbors of node ``u``.  These helpers verify
+undirected graph given as an ``(n, d)`` integer array where
+``adjacency[u]`` lists the neighbors of node ``u`` — every row in full
+for a d-regular graph, or its first ``true_degrees[u]`` entries for a
+padded one (the rest pointing back at ``u``).  These helpers verify
 every assumption and compute the reverse-port map used for vectorized
 flow application.
 """
@@ -57,10 +59,7 @@ def _validate(
         raise GraphValidationError("graph must have at least one node")
     if d == 0:
         raise GraphValidationError("graph must have degree at least 1")
-    if adjacency.min() < 0 or adjacency.max() >= n:
-        raise GraphValidationError(
-            f"neighbor indices must lie in [0, {n - 1}]"
-        )
+    _check_range(adjacency)
     rows = np.arange(n)[:, None]
     if np.any(adjacency == rows):
         bad = int(np.nonzero(np.any(adjacency == rows, axis=1))[0][0])
@@ -84,12 +83,62 @@ def _validate(
     return adjacency, orders
 
 
+def _check_range(adjacency: np.ndarray) -> None:
+    n = adjacency.shape[0]
+    if adjacency.min() < 0 or adjacency.max() >= n:
+        raise GraphValidationError(
+            f"neighbor indices must lie in [0, {n - 1}]"
+        )
+
+
+def real_port_mask(true_degrees: np.ndarray, degree: int) -> np.ndarray:
+    """``(n, degree)`` mask: port ``p`` of ``u`` is real iff
+    ``p < true_degrees[u]``."""
+    return np.arange(degree)[None, :] < true_degrees[:, None]
+
+
+def validate_padded(
+    adjacency: np.ndarray, true_degrees: np.ndarray
+) -> np.ndarray:
+    """Validate a padded ``(n, d_max)`` layout; return its reverse ports.
+
+    Real ports (``p < true_degrees[u]``) must list distinct neighbors
+    in range other than ``u`` and pair up symmetrically; padding ports
+    must point at ``u``, and each is its own reverse.  The real edges
+    go through the same edge sort as a regular graph's.
+    """
+    _check_range(adjacency)
+    n, d_max = adjacency.shape
+    ports = np.arange(d_max)
+    real = real_port_mask(true_degrees, d_max)
+    own = adjacency == np.arange(n)[:, None]
+    for bad, problem in (
+        (real & own, "real neighbor block contains itself"),
+        (~real & ~own, "padding ports must point to the node itself"),
+    ):
+        if bad.any():
+            u = int(np.nonzero(bad.any(axis=1))[0][0])
+            raise GraphValidationError(f"node {u}: {problem}")
+    # Distinct per-row sentinels >= n for the padding slots keep
+    # them out of the duplicate scan without a ragged loop.
+    keyed = np.sort(np.where(real, adjacency, n + ports[None, :]), axis=1)
+    dup = keyed[:, 1:] == keyed[:, :-1]
+    if dup.any():
+        u = int(np.nonzero(dup.any(axis=1))[0][0])
+        raise GraphValidationError(f"node {u}: duplicate real neighbors")
+    orders = _directed_edge_orders(adjacency, real=np.flatnonzero(real))
+    _check_symmetry(adjacency, *orders)
+    return _reverse_ports(adjacency, *orders)
+
+
 def _rows_ascending(adjacency: np.ndarray) -> bool:
     return bool(np.all(adjacency[:, 1:] > adjacency[:, :-1]))
 
 
 def _directed_edge_orders(
-    adjacency: np.ndarray, rows_sorted: bool
+    adjacency: np.ndarray,
+    rows_sorted: bool = False,
+    real: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Sort the directed edges of ``adjacency`` both ways.
 
@@ -105,9 +154,15 @@ def _directed_edge_orders(
     order, returned as ``None`` rather than an ``arange``, and a stable
     sort of ``dst`` alone keeps each ``dst`` group in ascending ``src``
     order: one sort instead of two lexsorts.
+
+    ``real`` (ascending flat indices) restricts both orders to the real
+    ports of a padded layout; padding ports take no part.
     """
     n, d = adjacency.shape
     dst = adjacency.reshape(-1)
+    if real is not None:
+        src, dst = real // d, dst[real]
+        return real[np.lexsort((dst, src))], real[np.lexsort((src, dst))]
     if rows_sorted:
         return None, np.argsort(dst, kind="stable")
     src = np.repeat(np.arange(n), d)
@@ -125,8 +180,8 @@ def _check_symmetry(
     """Verify that the neighbor relation is symmetric (vectorized)."""
     d = adjacency.shape[1]
     dst = adjacency.reshape(-1)
-    for start in range(0, dst.size, _SYMMETRY_BLOCK):
-        stop = min(start + _SYMMETRY_BLOCK, dst.size)
+    for start in range(0, backward.size, _SYMMETRY_BLOCK):
+        stop = min(start + _SYMMETRY_BLOCK, backward.size)
         ahead = (
             np.arange(start, stop) if forward is None
             else forward[start:stop]
@@ -177,12 +232,15 @@ def reverse_port_map(adjacency: np.ndarray) -> np.ndarray:
 def _reverse_ports(
     adjacency: np.ndarray, forward: np.ndarray | None, backward: np.ndarray
 ) -> np.ndarray:
-    """The reverse-port map from the edge orders; consumes ``backward``."""
+    """The reverse-port map from the edge orders; consumes ``backward``.
+
+    Ports missing from the orders (padding) are their own reverse.
+    """
     n, d = adjacency.shape
     ports = np.remainder(backward, d, out=backward)
     if forward is None:
         return ports.reshape(n, d)
-    reverse = np.empty(n * d, dtype=np.int64)
+    reverse = np.tile(np.arange(d, dtype=np.int64), n)
     reverse[forward] = ports
     return reverse.reshape(n, d)
 
@@ -192,14 +250,13 @@ def is_connected(adjacency: np.ndarray) -> bool:
 
     ``adjacency`` must be symmetric (validated), so its strongly
     connected components are its components: scipy then needs no
-    transposed copy.  Weights play no part, so they are one broadcast
-    ``1.0`` that takes no memory.
+    transposed copy.  Padding entries are self-edges, which join
+    nothing.  Weights play no part, so they are one broadcast ``1.0``
+    that takes no memory.
     """
-    try:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - scipy ships with the env
-        return _is_connected_python(adjacency)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n, d = adjacency.shape
     structure = csr_matrix(
         (
@@ -213,22 +270,6 @@ def is_connected(adjacency: np.ndarray) -> bool:
         structure, directed=True, connection="strong", return_labels=False
     )
     return int(components) == 1
-
-
-def _is_connected_python(adjacency: np.ndarray) -> bool:
-    """Pure-python DFS fallback when scipy is unavailable."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            v = int(v)
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
 
 
 def require_connected(adjacency: np.ndarray) -> None:

@@ -54,6 +54,7 @@ from repro.faults.spec import FaultSpec
 from repro.topology.spec import TopologySpec
 from repro.graphs import families
 from repro.graphs.balancing import BalancingGraph
+from repro.graphs.ports import PortGraph
 from repro.registry import freeze_params as _freeze, spec_fields
 from repro.scenarios.batch import BatchRunner
 
@@ -388,8 +389,8 @@ class Scenario:
     """One declarative unit of work: graph × workload × algorithm × stop.
 
     Attributes:
-        graph: a :class:`GraphSpec`, or a prebuilt
-            :class:`BalancingGraph` (programmatic use; such scenarios
+        graph: a :class:`GraphSpec`, or a prebuilt graph — regular or
+            padded (programmatic use; such scenarios
             cannot be serialized with :meth:`to_dict`).
         algorithm: the balancer spec; replica ``r`` runs with
             ``seed + r``.
@@ -440,7 +441,7 @@ class Scenario:
             results and goldens stay valid.
     """
 
-    graph: GraphSpec | BalancingGraph
+    graph: GraphSpec | PortGraph
     algorithm: AlgorithmSpec
     loads: LoadSpec
     stop: StopRule
@@ -526,7 +527,7 @@ class Scenario:
     def label(self) -> str:
         graph = (
             self.graph.name
-            if isinstance(self.graph, BalancingGraph)
+            if isinstance(self.graph, PortGraph)
             else self.graph.family
         )
         label = f"{self.algorithm.name} @ {graph} / {self.loads.name}"
@@ -538,8 +539,8 @@ class Scenario:
             label += f" ~ {self.topology.name}"
         return label
 
-    def build_graph(self) -> BalancingGraph:
-        if isinstance(self.graph, BalancingGraph):
+    def build_graph(self) -> PortGraph:
+        if isinstance(self.graph, PortGraph):
             return self.graph
         return self.graph.build()
 
@@ -554,7 +555,7 @@ class Scenario:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        if isinstance(self.graph, BalancingGraph):
+        if isinstance(self.graph, PortGraph):
             raise ValueError(
                 "scenarios holding a prebuilt graph object cannot be "
                 "serialized; use a GraphSpec"
@@ -781,7 +782,7 @@ class ScenarioSuite:
     def cartesian(
         cls,
         *,
-        graphs: GraphSpec | BalancingGraph | Sequence,
+        graphs: GraphSpec | PortGraph | Sequence,
         algorithms: AlgorithmSpec | Sequence[AlgorithmSpec],
         loads: LoadSpec | Sequence[LoadSpec],
         stop: StopRule | Sequence[StopRule],
@@ -816,7 +817,7 @@ class ScenarioSuite:
                 engine=engine,
             )
             for graph, algorithm, load, stop_rule in product(
-                _as_tuple(graphs, (GraphSpec, BalancingGraph)),
+                _as_tuple(graphs, (GraphSpec, PortGraph)),
                 _as_tuple(algorithms, (AlgorithmSpec,)),
                 _as_tuple(loads, (LoadSpec,)),
                 _as_tuple(stop, (StopRule,)),

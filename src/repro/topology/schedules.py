@@ -152,12 +152,8 @@ class TopologySchedule:
                 f"topology schedule {self.name!r} needs a graph"
             )
         adjacency = graph.adjacency
-        n, d = adjacency.shape
-        true_degrees = getattr(graph, "true_degrees", None)
-        if true_degrees is None:
-            real = np.ones((n, d), dtype=bool)
-        else:
-            real = np.arange(d)[None, :] < true_degrees[:, None]
+        n = graph.num_nodes
+        real = graph.real_port_mask()
         canonical = real & (np.arange(n)[:, None] < adjacency)
         us, ps = np.nonzero(canonical)
         self._edges = np.stack(

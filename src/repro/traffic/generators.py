@@ -72,11 +72,10 @@ def host_rates(graph, rate: float, tier: str = "host") -> list[float]:
     the result drops straight into ``DynamicsSpec`` params and
     scenario JSON.
     """
-    tiers = getattr(graph, "node_tiers", None)
-    names = getattr(graph, "tier_names", None)
-    if tiers is None or names is None:
+    tiers, names = graph.node_tiers, graph.tier_names
+    if tiers is None:
         raise InvalidInjection(
-            f"graph {getattr(graph, 'name', graph)!r} has no node_tiers "
+            f"graph {graph.name!r} has no node_tiers "
             "metadata; host_rates needs a tiered fabric"
         )
     if tier not in names:

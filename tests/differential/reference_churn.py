@@ -60,17 +60,10 @@ class ReferenceChurnSimulator:
     ) -> None:
         self.d_max = graph.degree
         self.num_self_loops = graph.num_self_loops
-        true_degrees = getattr(graph, "true_degrees", None)
-        self.neighbor_lists: list[list[int]] = []
-        for u in range(graph.num_nodes):
-            deg = (
-                self.d_max
-                if true_degrees is None
-                else int(true_degrees[u])
-            )
-            self.neighbor_lists.append(
-                [int(v) for v in graph.adjacency[u, :deg]]
-            )
+        self.neighbor_lists: list[list[int]] = [
+            [int(v) for v in graph.adjacency[u, :deg]]
+            for u, deg in enumerate(graph.true_degrees.tolist())
+        ]
         self.active = [True] * graph.num_nodes
         self.graph = self._rebuild()
         self.balancer = balancer.bind(self.graph)

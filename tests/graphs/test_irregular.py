@@ -14,6 +14,7 @@ from repro.core.engine import Simulator
 from repro.core.loads import point_mass
 from repro.graphs.errors import GraphValidationError
 from repro.graphs.irregular import (
+    PaddedBalancingGraph,
     from_irregular_edges,
     from_networkx_irregular,
 )
@@ -67,6 +68,31 @@ class TestConstruction:
     def test_rejects_explicit_self_loop(self):
         with pytest.raises(GraphValidationError):
             from_irregular_edges(2, [(0, 0), (0, 1)])
+
+    def test_rejects_out_of_range_endpoint(self):
+        with pytest.raises(
+            GraphValidationError, match=r"endpoints must lie in \[0, 3\)"
+        ):
+            from_irregular_edges(3, [(0, 1), (1, 5)])
+
+    def test_constructor_rejects_out_of_range_neighbor(self):
+        # Path 0-1-2 with node 0 listing 5.
+        with pytest.raises(
+            GraphValidationError, match=r"must lie in \[0, 2\]"
+        ):
+            PaddedBalancingGraph(
+                [[5, 0], [0, 2], [1, 2]], [1, 2, 1], num_self_loops=1
+            )
+
+    def test_constructor_rejects_asymmetric_edge(self):
+        # Path 0-1-2 where node 2 lists 0 instead of 1.
+        with pytest.raises(
+            GraphValidationError,
+            match=r"edge \(2, 0\) is not symmetric: 0 does not list 2",
+        ):
+            PaddedBalancingGraph(
+                [[1, 0], [0, 2], [0, 2]], [1, 2, 1], num_self_loops=1
+            )
 
     def test_from_networkx(self):
         import networkx as nx

@@ -7,29 +7,116 @@ repair, the dirty-node accounting balancers refresh from, and every
 guarded error path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.graphs import MutableBalancingGraph, families
+from repro.graphs import (
+    BalancingGraph,
+    MutableBalancingGraph,
+    PortGraph,
+    families,
+)
 from repro.graphs.datacenter import fat_tree
 from repro.graphs.errors import GraphValidationError
+from repro.graphs.irregular import from_irregular_edges
 
 
 def _cycle_mutable(n=6):
     return MutableBalancingGraph.from_graph(families.cycle(n))
 
 
-def test_from_graph_copies_and_synthesizes_true_degrees():
-    base = families.cycle(5)
-    graph = MutableBalancingGraph.from_graph(base)
-    np.testing.assert_array_equal(graph.adjacency, base.adjacency)
-    assert graph.true_degrees.tolist() == [2] * 5
-    graph.drop_edge(0, 1)
-    # Mutation must never leak back into the source graph.
-    assert base.adjacency[0, 0] != 0 or base.adjacency[0, 1] != 0
-    np.testing.assert_array_equal(
-        base.adjacency, families.cycle(5).adjacency
+def _lollipop():
+    """Triangle with a two-edge tail (as in ``test_irregular.py``)."""
+    return from_irregular_edges(
+        5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
     )
+
+
+def _check_port_protocol(graph):
+    """The shared port layout, as every consumer reads it."""
+    assert isinstance(graph, PortGraph)
+    n, d = graph.num_nodes, graph.degree
+    assert graph.total_degree == d + graph.num_self_loops
+    real = graph.real_port_mask()
+    assert real.shape == (n, d)
+    np.testing.assert_array_equal(real.sum(axis=1), graph.true_degrees)
+    for u in range(n):
+        assert graph.neighbors(u) == tuple(
+            graph.adjacency[u][real[u]].tolist()
+        )
+        assert graph.padding_count(u) == d - graph.true_degrees[u]
+        for p in range(graph.total_degree):
+            v = graph.port_target(u, p)
+            assert graph.is_original_port(p) == (p < d)
+            if p < d and real[u, p]:
+                assert v != u
+                assert graph.adjacency[v, graph.reverse_port[u, p]] == u
+            else:
+                assert v == u
+                if p < d:
+                    assert graph.reverse_port[u, p] == p
+    matrix = graph.transition_matrix()
+    np.testing.assert_allclose(matrix.sum(axis=0), 1.0)
+    np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
+    np.testing.assert_array_equal(
+        graph.transition_matrix_sparse().toarray(), matrix
+    )
+    assert graph.is_connected()
+    assert (graph.distances_from(0) >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: families.cycle(5), lambda: fat_tree(4), _lollipop],
+    ids=["cycle", "fat_tree", "lollipop"],
+)
+def test_from_graph_copies_and_synthesizes_true_degrees(build):
+    base = build()
+    graph = MutableBalancingGraph.from_graph(base)
+    for g in (base, graph):
+        _check_port_protocol(g)
+    np.testing.assert_array_equal(graph.adjacency, base.adjacency)
+    np.testing.assert_array_equal(graph.reverse_port, base.reverse_port)
+    np.testing.assert_array_equal(graph.true_degrees, base.true_degrees)
+    np.testing.assert_array_equal(
+        graph.transition_matrix(), base.transition_matrix()
+    )
+    assert graph.tier_names == base.tier_names
+    assert graph.tier_counts() == base.tier_counts()
+    if isinstance(base, BalancingGraph):
+        # A regular graph's true degrees are a broadcast, not an array.
+        assert base.true_degrees.strides == (0,)
+        assert not base.true_degrees.flags.writeable
+    # Pickling keeps each graph's arrays as writable as they were.
+    for g, writable in ((base, False), (graph, True)):
+        clone = pickle.loads(pickle.dumps(g))
+        _check_port_protocol(clone)
+        for attr in ("adjacency", "reverse_port", "true_degrees"):
+            np.testing.assert_array_equal(
+                getattr(clone, attr), getattr(g, attr)
+            )
+            assert getattr(clone, attr).flags.writeable == writable
+        assert clone.transition_matrix().flags.writeable == writable
+        if g.node_tiers is not None:
+            assert not clone.node_tiers.flags.writeable
+    u = 0
+    v = graph.neighbors(u)[0]
+    graph.drop_edge(u, v)
+    # Mutation must never leak back into the source graph.
+    np.testing.assert_array_equal(base.adjacency, build().adjacency)
+    np.testing.assert_array_equal(base.true_degrees, build().true_degrees)
+
+
+def test_constructor_rejects_out_of_range_neighbor():
+    # Path 0-1-2 with node 0 listing 5.
+    with pytest.raises(
+        GraphValidationError, match=r"must lie in \[0, 2\]"
+    ):
+        MutableBalancingGraph(
+            [[5, 0], [0, 2], [1, 2]], [1, 2, 1], num_self_loops=1
+        )
 
 
 def test_add_edge_lands_in_first_padding_slot():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.monitors import LoadBoundsMonitor
+from repro.graphs import fat_tree
 from repro.scenarios import (
     AlgorithmSpec,
     GraphSpec,
@@ -62,6 +63,28 @@ class TestRoundTrip:
         )
         with pytest.raises(ValueError, match="prebuilt graph"):
             scenario.to_dict()
+
+    def test_prebuilt_padded_graph_runs_like_its_spec(self):
+        prebuilt = make_scenario(graph=fat_tree(4))
+        from_spec = make_scenario(graph=GraphSpec("fat_tree", {"k": 4}))
+        assert prebuilt.label() == from_spec.label().replace(
+            "fat_tree", "fat_tree(k=4)", 1
+        )
+        assert [r.to_dict() for r in prebuilt.run().records] == [
+            r.to_dict() for r in from_spec.run().records
+        ]
+        with pytest.raises(ValueError, match="prebuilt graph"):
+            prebuilt.to_dict()
+
+    def test_cartesian_takes_one_prebuilt_padded_graph(self):
+        graph = fat_tree(4)
+        suite = ScenarioSuite.cartesian(
+            graphs=graph,
+            algorithms=AlgorithmSpec("send_floor"),
+            loads=LoadSpec("point_mass", {"tokens": 100}),
+            stop=StopRule.fixed(5),
+        )
+        assert [s.graph for s in suite] == [graph]
 
     def test_dynamics_round_trip(self):
         from repro.scenarios import DynamicsSpec
