@@ -26,6 +26,7 @@ from repro.core.errors import BindingError
 from repro.core.structured import (
     RotorWindow,
     StructuredRound,
+    divider,
     rotor_gather,
     window_tables,
 )
@@ -145,6 +146,7 @@ class RotorRouter(Balancer):
             graph.adjacency * graph.degree + graph.reverse_port
         ).ravel()
         self._gather = rotor_gather(graph, self._reverse_flat)
+        self._divider = divider(d_plus)
 
     def refresh_topology(self, graph: BalancingGraph, dirty=None) -> None:
         """Repair ``reverse_flat`` for the mutated rows only.
@@ -212,15 +214,12 @@ class RotorRouter(Balancer):
         # every port plus a +1 window of length x mod d+ starting at the
         # rotor.  Advances the rotors exactly as sends() does; the
         # handed-out window keeps the pre-advance positions.
-        graph = self.graph
-        d_plus = graph.total_degree
         if loads.ndim != 1:
             raise ValueError(
                 "rotor-router is stateful; structured sends take one "
                 "(n,) load vector per instance"
             )
-        quotient = loads // d_plus
-        extra = loads - quotient * d_plus
+        quotient, extra = self._divider.divmod(loads)
         window = RotorWindow(
             rotors=self._rotors,
             extra=extra,
@@ -229,12 +228,10 @@ class RotorRouter(Balancer):
             gather=self._gather,
             tables=self._tables,
         )
-        # rotors + extra < 2·d+: one conditional subtract wraps it.
-        rotors = self._rotors + extra
-        rotors -= d_plus * (rotors >= d_plus)
-        self._rotors = rotors
+        # rotors + extra < 2·d+: less than one turn to wrap.
+        self._rotors = self._divider.wrap(self._rotors + extra)
         return StructuredRound(
             edge_share=quotient,
-            loop_base=quotient if graph.num_self_loops else None,
+            loop_base=quotient if self.graph.num_self_loops else None,
             window=window,
         )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.balancer import AlgorithmProperties, Balancer
-from repro.core.structured import StructuredRound
+from repro.core.structured import StructuredRound, divider
+from repro.graphs.balancing import BalancingGraph
 
 
 class SendFloor(Balancer):
@@ -32,6 +33,14 @@ class SendFloor(Balancer):
     supports_batched_sends = True
     supports_structured_sends = True
     _batch_scratch: np.ndarray | None = None
+
+    def _on_bind(self, graph: BalancingGraph) -> None:
+        # Bind-time dividers: shift and mask wherever d+ (or d°) is a
+        # power of two, so the structured rule never branches per round.
+        self._by_d_plus = divider(graph.total_degree)
+        self._by_loops = (
+            divider(graph.num_self_loops) if graph.num_self_loops else None
+        )
 
     def reset(self) -> None:
         self._batch_scratch = None
@@ -71,17 +80,13 @@ class SendFloor(Balancer):
         # Compact form of _fill_sends: the uniform quotient on every
         # port, the excess x mod d+ split over the self-loops.  Accepts
         # (n,) vectors and (replicas, n) stacks alike.
-        graph = self.graph
-        d_plus = graph.total_degree
-        num_loops = graph.num_self_loops
-        quotient = loads // d_plus
-        if num_loops == 0:
-            return StructuredRound(edge_share=quotient)
-        extras = loads - d_plus * quotient
-        per_loop = extras // num_loops
-        leftover = extras - per_loop * num_loops
+        if self._by_loops is None:
+            return StructuredRound(edge_share=self._by_d_plus.floor(loads))
+        quotient, extras = self._by_d_plus.divmod(loads)
+        per_loop, leftover = self._by_loops.divmod(extras)
+        per_loop += quotient
         return StructuredRound(
             edge_share=quotient,
-            loop_base=quotient + per_loop,
+            loop_base=per_loop,
             loop_ceil=leftover,
         )

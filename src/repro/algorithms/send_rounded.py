@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.balancer import AlgorithmProperties, Balancer
 from repro.core.errors import BindingError
-from repro.core.structured import StructuredRound
+from repro.core.structured import StructuredRound, divider
 from repro.graphs.balancing import BalancingGraph
 
 
@@ -66,6 +66,13 @@ class SendRounded(Balancer):
     supports_batched_sends = True
     supports_structured_sends = True
     _batch_scratch: np.ndarray | None = None
+
+    def _on_bind(self, graph: BalancingGraph) -> None:
+        # Bind-time divider (shift and mask for a power-of-two d+) and
+        # the excess x mod d+ from which the share rounds up.
+        d_plus = graph.total_degree
+        self._by_d_plus = divider(d_plus)
+        self._round_up_from = d_plus - d_plus // 2
 
     def reset(self) -> None:
         self._batch_scratch = None
@@ -108,16 +115,18 @@ class SendRounded(Balancer):
         # ceiling tokens on the first loops.  d+ >= 2d (validated at
         # bind) guarantees 0 <= loop_ceil <= d°.  Accepts (n,) vectors
         # and (replicas, n) stacks alike.
-        graph = self.graph
-        d_plus = graph.total_degree
-        share = nearest_share(loads, d_plus)
-        quotient = loads // d_plus
-        num_loops = d_plus - graph.degree
-        num_ceil = (loads - graph.degree * share) - num_loops * quotient
+        #
+        # With x = q·d+ + r, nearest_share(x) is q plus one exactly when
+        # r >= d+ - ⌊d+/2⌋, and the loops' ceiling tokens are then
+        # x - d·share - d°·q = r - d·[rounded up].
+        quotient, ceiling = self._by_d_plus.divmod(loads)
+        up = ceiling >= self._round_up_from
+        share = quotient + up
+        ceiling -= self.graph.degree * up
         return StructuredRound(
             edge_share=share,
             loop_base=quotient,
-            loop_ceil=num_ceil,
+            loop_ceil=ceiling,
         )
 
     @property

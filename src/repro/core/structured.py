@@ -40,6 +40,28 @@ cost for those):
   extra`` whenever every node shares one port order and ``d+² <= n``;
   otherwise from the ``(positions - rotors) % d+`` formula.
 
+At 10^6 nodes a round's bookkeeping costs what its n-vector passes
+cost (each streams 8 MB) plus the live temporaries they leave, so the
+hot path counts them:
+
+* the send rules divide through a bind-time :func:`divider` — an
+  arithmetic shift and a mask when ``d+`` is a power of two (cycle,
+  torus and hypercube at ``d° = d``), ``//`` otherwise — with no
+  per-round branching; with shifts a rotor round's quotient, window
+  length and advanced rotors take four passes;
+* :meth:`StructuredRound.validate` reads each field once, checking
+  both ends of a ``[0, bound]`` range with one ``max`` over the
+  field's unsigned view; a ``loop_base`` that *is* ``edge_share`` (the
+  rotor's) is read once, so a rotor round validates in three passes;
+* :meth:`StructuredRound.remainder` re-derives the overdraw remainder
+  from the round's fields into one buffer, one pass per term, the
+  shared ``loop_base`` counted once as ``d+·edge_share``: three passes
+  for a rotor round, four for SEND at ``d° = d``.  The engines take
+  its ``min`` every round, validation on or off;
+* :meth:`StructuredRound.apply` finishes in place on the matvec
+  result; a rotor round's tail reuses the dead per-port value buffer
+  and allocates nothing.
+
 All arrays are integer; the structured execution is bit-identical to
 the dense engine (enforced by the property suite).
 """
@@ -61,6 +83,72 @@ from repro.graphs.balancing import BalancingGraph
 # Keyed by the graph object, not id(graph): a freed graph's id can be
 # reused by a new graph, which must never inherit its operator.
 _INFLOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class Divider:
+    """Floor division of int64 arrays by a divisor fixed at bind time.
+
+    :func:`divider` picks the class once per bind, so a send rule calls
+    the same methods every round with no branching of its own.  This
+    base class divides with ``//``; :class:`ShiftDivider` takes over for
+    powers of two.
+    """
+
+    __slots__ = ("divisor",)
+
+    def __init__(self, divisor: int) -> None:
+        if divisor < 1:
+            raise ValueError(f"divisor must be positive, got {divisor}")
+        self.divisor = divisor
+
+    def floor(self, x: np.ndarray) -> np.ndarray:
+        """``x // divisor``."""
+        return x // self.divisor
+
+    def divmod(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x // divisor, x % divisor)`` as two fresh arrays; the
+        remainder is ``x - q·divisor`` built in one buffer (int64
+        wraparound cancels, so it is exact on every int64)."""
+        quotient = x // self.divisor
+        rest = quotient * -self.divisor
+        rest += x
+        return quotient, rest
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """``x % divisor`` in place, for ``0 <= x < 2·divisor`` (a rotor
+        advanced by less than one turn)."""
+        x -= self.divisor * (x >= self.divisor)
+        return x
+
+
+class ShiftDivider(Divider):
+    """A power-of-two divisor ``2**s``: ``x >> s`` and ``x & (2**s - 1)``
+    equal ``x // 2**s`` and ``x % 2**s`` on every int64, negatives
+    included (two's complement), at one cheap pass each."""
+
+    __slots__ = ("shift", "mask")
+
+    def __init__(self, divisor: int) -> None:
+        super().__init__(divisor)
+        self.shift = divisor.bit_length() - 1
+        self.mask = divisor - 1
+
+    def floor(self, x: np.ndarray) -> np.ndarray:
+        return x >> self.shift
+
+    def divmod(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x >> self.shift, x & self.mask
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        return np.bitwise_and(x, self.mask, out=x)
+
+
+def divider(divisor: int) -> Divider:
+    """The :class:`Divider` for a positive ``divisor``: a
+    :class:`ShiftDivider` for a power of two, ``//`` otherwise."""
+    if divisor >= 1 and divisor & (divisor - 1) == 0:
+        return ShiftDivider(divisor)
+    return Divider(divisor)
 
 
 def inflow_gather(graph: BalancingGraph) -> sp.csr_matrix:
@@ -122,6 +210,21 @@ def in_window(positions, rotors, extra, d_plus: int) -> np.ndarray:
     cyclic position ``positions`` inside ``[rotors, rotors + extra)``
     modulo ``d_plus``?  (Broadcasts.)"""
     return (positions - rotors) % d_plus < extra
+
+
+def _outside(array: np.ndarray, upper: int | None) -> bool:
+    """Does any entry lie outside ``[0, upper]`` (``[0, ∞)`` for
+    ``None``)?  One reduction: a signed integer array viewed as unsigned
+    puts every negative entry above any bound."""
+    if not array.size:
+        return False
+    if upper is None:
+        return bool(array.min() < 0)
+    if array.dtype.kind == "i":
+        array = array.view(f"u{array.dtype.itemsize}")
+    elif array.dtype.kind != "u":
+        return bool(array.min() < 0 or array.max() > upper)
+    return bool(array.max() > upper)
 
 
 class WindowTables(NamedTuple):
@@ -229,8 +332,10 @@ class RotorWindow:
 
     @cached_property
     def state(self) -> np.ndarray:
-        """Each node's table row, ``rotors·d+ + extra``."""
-        return self.rotors * self.positions.shape[1] + self.extra
+        """Each node's table row, ``rotors·d+ + extra`` (one buffer)."""
+        state = self.rotors * self.positions.shape[1]
+        state += self.extra
+        return state
 
     def edge_hit_matrix(self, graph: BalancingGraph) -> np.ndarray:
         """``(n, d)`` bool: does port ``j`` of ``u`` get a window token?"""
@@ -251,11 +356,23 @@ class RotorWindow:
             return np.take(self.tables.ports, self.state, axis=0)
         return self._inside(graph, slice(None))
 
-    def edge_hits(self, graph: BalancingGraph) -> np.ndarray:
-        """Per-node count of original-edge ports inside the window."""
+    def edge_hits(
+        self, graph: BalancingGraph, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-node count of original-edge ports inside the window.
+
+        With ``out`` the lookup writes straight into it (``"clip"``
+        mode: numpy buffers ``out`` under the default ``"raise"``); the
+        rows were range-checked when :meth:`edge_hit_matrix` read them,
+        as the engine apply does first.
+        """
         if self.tables is not None:
-            return np.take(self.tables.edge_hits, self.state)
-        return self.edge_hit_matrix(graph).sum(axis=1)
+            if out is None:
+                return np.take(self.tables.edge_hits, self.state)
+            return np.take(
+                self.tables.edge_hits, self.state, out=out, mode="clip"
+            )
+        return self.edge_hit_matrix(graph).sum(axis=1, out=out)
 
     def loop_hits(self, graph: BalancingGraph) -> np.ndarray:
         """Per-node count of self-loop ports inside the window."""
@@ -330,16 +447,39 @@ class StructuredRound:
         O(n) with no gathers: a rotor window of length ``extra < d+``
         covers exactly ``extra`` distinct ports, so the total assigned
         is ``d·edge_share + d°·loop_base + loop_ceil + extra``
-        regardless of where the window falls.
+        regardless of where the window falls.  A ``loop_base`` that *is*
+        ``edge_share`` (the rotor's uniform quotient) is counted once,
+        as ``d+·edge_share``; so is ``loop_base`` when ``d° = d``
+        (``d·(edge_share + loop_base)``).
+
+        Built in one fresh buffer, one pass per term, ``loads``
+        included — three for a rotor round, four for SEND at ``d° = d``
+        — with one temporary only for ``d°·loop_base`` at
+        ``d° ∉ {1, d}``.  int64 wraparound cancels, so the order of the
+        terms does not change a single bit.  The buffer is per call, not
+        kept: the engines drop it before the apply allocates, which
+        keeps it out of the round's peak.
         """
-        assigned = graph.degree * self.edge_share
-        if self.loop_base is not None:
-            assigned = assigned + graph.num_self_loops * self.loop_base
+        share = self.edge_share
+        base = self.loop_base
+        degree = graph.degree
+        num_loops = graph.num_self_loops
+        dtype = np.result_type(loads, share)
+        if base is share:
+            out = np.multiply(share, -graph.total_degree, dtype=dtype)
+        elif base is not None and num_loops == degree:
+            out = np.add(share, base, dtype=dtype)
+            out *= -degree
+        else:
+            out = np.multiply(share, -degree, dtype=dtype)
+            if base is not None:
+                out -= base if num_loops == 1 else num_loops * base
+        out += loads
         if self.loop_ceil is not None:
-            assigned = assigned + self.loop_ceil
+            out -= self.loop_ceil
         if self.window is not None:
-            assigned = assigned + self.window.extra
-        return loads - assigned
+            out -= self.window.extra
+        return out
 
     # -- execution ------------------------------------------------------
 
@@ -356,26 +496,34 @@ class StructuredRound:
         a rotor round gathers quotient and window hit in one CSR
         matvec over the sender-side per-port values.  Neither reduces
         over the short port axis.
+
+        The tail works in place on the fresh matvec result (int64 sums
+        are exact in any order): a windowless round adds ``loads`` and
+        subtracts ``d·share`` through one temporary; a rotor round
+        writes ``d·share`` and then the window's edge hits into the
+        first ``n`` slots of its per-port value buffer, which is dead
+        once the matvec has read it, so its tail allocates nothing.
         """
         share = self.edge_share
+        degree = graph.degree
         window = self.window
         if window is None:
             inflow = inflow_gather(graph)
             if share.ndim == 1:
-                incoming = inflow @ share
+                new = inflow @ share
+                new += loads
             else:
-                incoming = (inflow @ share.T).T
-            return loads - graph.degree * share + incoming
+                new = loads + (inflow @ share.T).T
+            new -= degree * share
+            return new
         # Sender-side per-port values, built flat: the share repeated
         # over each node's d edge ports plus the window hit.
-        values = np.repeat(share, graph.degree)
+        values = np.repeat(share, degree)
         values += window.edge_hit_matrix(graph).reshape(-1)
         new = window.gather @ values
-        del values
-        # In place on the fresh matvec result: one n-vector temporary
-        # at a time (int64 sums are exact in any order).
-        new -= graph.degree * share
-        new -= window.edge_hits(graph)
+        scratch = values[: share.size]
+        new -= np.multiply(share, degree, out=scratch)
+        new -= window.edge_hits(graph, out=scratch)
         new += loads
         return new
 
@@ -385,17 +533,32 @@ class StructuredRound:
         """Structural validation mirroring the dense sends checks.
 
         Shape/dtype/nonnegativity of every component, ``loop_ceil``
-        within the number of self-loops, window lengths within
-        ``[0, d+)`` — all on O(n) vectors.  Overdraw (negative
-        remainder) is checked separately by the engines because it is
-        enforced even when per-round validation is off.
+        within the number of self-loops, window lengths and rotor
+        positions within ``[0, d+)`` — all on O(n) vectors, one pass
+        per field: a bounded range check reads an integer field once
+        through its unsigned view (a negative entry wraps above any
+        bound), and a ``loop_base`` that *is* ``edge_share`` is checked
+        once.  Only a failed check pays a second pass, to tell a
+        negative entry from one over its bound, so the messages and
+        which of several faults is reported first stay those of one
+        check per bound.  Overdraw (negative remainder) is checked
+        separately by the engines because it is enforced even when
+        per-round validation is off.
         """
         expected = loads.shape
         num_loops = graph.num_self_loops
-        for label, array in (
-            ("edge_share", self.edge_share),
-            ("loop_base", self.loop_base),
-            ("loop_ceil", self.loop_ceil),
+        share = self.edge_share
+        base = self.loop_base
+        if base is share and num_loops > 0:
+            base = None
+        # Upper bounds: loop_base is 0 without self-loops, loop_ceil
+        # at most d°; None means nonnegativity only.
+        loop_bound = 0 if num_loops == 0 else None
+        over = False
+        for label, array, upper in (
+            ("edge_share", share, None),
+            ("loop_base", base, loop_bound),
+            ("loop_ceil", self.loop_ceil, num_loops),
         ):
             if array is None:
                 continue
@@ -409,28 +572,26 @@ class StructuredRound:
                     f"structured {label} must be integer, got dtype "
                     f"{array.dtype}"
                 )
-            if array.size and array.min() < 0:
-                raise InvalidSendMatrix(
-                    f"structured {label} contains negative entries; "
-                    "tokens can only move forward along edges"
-                )
-        if num_loops == 0 and (
-            (self.loop_base is not None and np.any(self.loop_base != 0))
-            or (self.loop_ceil is not None and np.any(self.loop_ceil != 0))
-        ):
+            if _outside(array, upper):
+                if array.min() < 0:
+                    raise InvalidSendMatrix(
+                        f"structured {label} contains negative entries; "
+                        "tokens can only move forward along edges"
+                    )
+                over = True
+        if over and num_loops == 0:
             raise InvalidSendMatrix(
                 "structured round assigns self-loop tokens but the graph "
                 "has no self-loops"
             )
-        if self.loop_ceil is not None and num_loops > 0:
-            if self.loop_ceil.max() > num_loops:
-                raise InvalidSendMatrix(
-                    f"structured loop_ceil exceeds the {num_loops} "
-                    "self-loops available"
-                )
+        if over:
+            raise InvalidSendMatrix(
+                f"structured loop_ceil exceeds the {num_loops} "
+                "self-loops available"
+            )
         window = self.window
         if window is not None:
-            if self.edge_share.ndim != 1:
+            if share.ndim != 1:
                 raise InvalidSendMatrix(
                     "rotor windows describe per-node state and require "
                     "1-D structured rounds (got batched shares)"
@@ -446,11 +607,11 @@ class StructuredRound:
                         f"rotor window {label} has shape {array.shape}, "
                         f"expected ({n},)"
                     )
-            if window.extra.min() < 0 or window.extra.max() >= d_plus:
+            if _outside(window.extra, d_plus - 1):
                 raise InvalidSendMatrix(
                     f"rotor window lengths must lie in [0, {d_plus})"
                 )
-            if window.rotors.min() < 0 or window.rotors.max() >= d_plus:
+            if _outside(window.rotors, d_plus - 1):
                 raise InvalidSendMatrix(
                     f"rotor positions must lie in [0, {d_plus})"
                 )

@@ -125,13 +125,18 @@ class MutableBalancingGraph(PortGraph):
         The engines always copy before mutating: prebuilt graphs are
         shared across scenarios (suite ``graph_cache``) and across
         replicas, and an immutable graph's arrays are write-locked
-        anyway.
+        anyway.  A mutable source's ``active`` mask is copied too, so
+        a node that left stays out of the copy.
         """
+        active = None
+        if isinstance(graph, MutableBalancingGraph):
+            active = graph.active.copy()
         return cls(
             graph.adjacency.copy(),
             graph.true_degrees.copy(),
             graph.num_self_loops,
             reverse_port=graph.reverse_port.copy(),
+            active=active,
             name=f"mutable({graph.name})",
             node_tiers=graph.node_tiers,
             tier_names=graph.tier_names,

@@ -546,8 +546,12 @@ class BatchRunner:
             if self.validate_every_round:
                 sends.validate(graph, loads)
             if not balancer.allows_negative:
-                remainder = sends.remainder(graph, loads)
-                self._check_overdraw(balancer, loads, remainder, replicas)
+                # Re-derived from the round's fields every round; not
+                # bound to a name, so the buffer is freed before the
+                # apply allocates its own.
+                self._check_overdraw(
+                    balancer, loads, sends.remainder(graph, loads), replicas
+                )
             new = self._backend.apply(graph, sends, loads)
         else:
             rule = balancer.sends_batch if stacked else balancer.sends

@@ -1,5 +1,8 @@
 """Unit tests for the structured-sends protocol and engines."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -404,6 +407,33 @@ class TestRemainder:
             loads - dense.sum(axis=1),
         )
 
+    @pytest.mark.parametrize("num_loops", [0, 1, 2, 3])
+    @pytest.mark.parametrize("algorithm", ["send_floor", "rotor_router"])
+    def test_every_term_layout_matches_dense(self, algorithm, num_loops):
+        # d° = 0, 1, d and other: each way remainder() folds loop_base.
+        graph = families.cycle(10, num_self_loops=num_loops)
+        loads = _loads_for(graph)
+        compact = make(algorithm).bind(graph).sends_structured(loads, 1)
+        expected = loads - compact.to_dense(graph).sum(axis=1)
+        np.testing.assert_array_equal(
+            compact.remainder(graph, loads), expected
+        )
+
+    def test_shared_loop_base_counted_once(self, cycle12):
+        # The rotor's loop_base is its edge_share; an equal copy must
+        # give the same remainder (d+·share, not d+·share + d°·share).
+        loads = _loads_for(cycle12)
+        compact = make("rotor_router").bind(cycle12).sends_structured(
+            loads, 1
+        )
+        assert compact.loop_base is compact.edge_share
+        shared = compact.remainder(cycle12, loads)
+        compact.loop_base = compact.edge_share.copy()
+        np.testing.assert_array_equal(
+            compact.remainder(cycle12, loads), shared
+        )
+        assert shared.min() >= 0
+
     def test_outflow_and_kept_split(self, cycle12):
         balancer = make("rotor_router").bind(cycle12)
         loads = _loads_for(cycle12)
@@ -460,6 +490,117 @@ class TestValidation:
         )
         with pytest.raises(InvalidSendMatrix, match="no self-loops"):
             compact.validate(graph, loads)
+
+    # -- every message pinned, one fault at a time ---------------------
+
+    @staticmethod
+    def _rotor_round(graph):
+        loads = _loads_for(graph)
+        return make("rotor_router").bind(graph).sends_structured(loads, 1)
+
+    @pytest.mark.parametrize("value", [-1, "d_plus"])
+    def test_window_length_out_of_range(self, cycle12, value):
+        compact = self._rotor_round(cycle12)
+        d_plus = cycle12.total_degree
+        extra = compact.window.extra.copy()
+        extra[5] = d_plus if value == "d_plus" else value
+        compact.window.extra = extra
+        with pytest.raises(
+            InvalidSendMatrix,
+            match=re.escape(f"rotor window lengths must lie in [0, {d_plus})"),
+        ):
+            compact.validate(cycle12, _loads_for(cycle12))
+
+    @pytest.mark.parametrize("value", [-1, "d_plus"])
+    def test_rotor_position_out_of_range(self, cycle12, value):
+        compact = self._rotor_round(cycle12)
+        d_plus = cycle12.total_degree
+        rotors = compact.window.rotors.copy()
+        rotors[7] = d_plus if value == "d_plus" else value
+        compact.window.rotors = rotors
+        with pytest.raises(
+            InvalidSendMatrix,
+            match=re.escape(f"rotor positions must lie in [0, {d_plus})"),
+        ):
+            compact.validate(cycle12, _loads_for(cycle12))
+
+    def test_window_on_batched_shares_rejected(self, cycle12):
+        compact = self._rotor_round(cycle12)
+        loads = np.stack([_loads_for(cycle12)] * 2)
+        compact.edge_share = np.stack([compact.edge_share] * 2)
+        compact.loop_base = compact.edge_share
+        with pytest.raises(
+            InvalidSendMatrix, match="require 1-D structured rounds"
+        ):
+            compact.validate(cycle12, loads)
+
+    def test_negative_separate_loop_base_rejected(self, cycle12):
+        share = np.ones(12, dtype=np.int64)
+        base = np.ones(12, dtype=np.int64)
+        base[3] = -1
+        compact = StructuredRound(edge_share=share, loop_base=base)
+        with pytest.raises(
+            InvalidSendMatrix,
+            match="structured loop_base contains negative entries",
+        ):
+            compact.validate(cycle12, np.full(12, 10, dtype=np.int64))
+
+    def test_negative_loop_ceil_rejected(self, cycle12):
+        ceil = np.zeros(12, dtype=np.int64)
+        ceil[0] = -1
+        compact = StructuredRound(
+            edge_share=np.zeros(12, dtype=np.int64), loop_ceil=ceil
+        )
+        with pytest.raises(
+            InvalidSendMatrix,
+            match="structured loop_ceil contains negative entries",
+        ):
+            compact.validate(cycle12, np.full(12, 10, dtype=np.int64))
+
+    def test_shared_loop_base_checked_as_edge_share(self, cycle12):
+        # The rotor's loop_base *is* its edge_share: one check, and the
+        # message names the first field, as one check per field would.
+        compact = self._rotor_round(cycle12)
+        compact.edge_share = compact.edge_share.copy()
+        compact.edge_share[2] = -1
+        compact.loop_base = compact.edge_share
+        with pytest.raises(
+            InvalidSendMatrix,
+            match="structured edge_share contains negative entries",
+        ):
+            compact.validate(cycle12, _loads_for(cycle12))
+
+    def test_negative_entry_reported_before_exceeded_loops(self, cycle12):
+        # A loop_ceil both negative and over d° reports the negative
+        # entry, and an earlier field's fault wins over a later one's.
+        ceil = np.zeros(12, dtype=np.int64)
+        ceil[0] = -1
+        ceil[1] = cycle12.num_self_loops + 1
+        loads = np.full(12, 10, dtype=np.int64)
+        compact = StructuredRound(
+            edge_share=np.zeros(12, dtype=np.int64), loop_ceil=ceil
+        )
+        with pytest.raises(InvalidSendMatrix, match="loop_ceil contains"):
+            compact.validate(cycle12, loads)
+        base = np.full(12, -2, dtype=np.int64)
+        compact.loop_base = base
+        with pytest.raises(InvalidSendMatrix, match="loop_base contains"):
+            compact.validate(cycle12, loads)
+
+    def test_no_loop_graph_rejects_loop_ceil_tokens(self):
+        graph = families.cycle(9, num_self_loops=0)
+        compact = StructuredRound(
+            edge_share=np.zeros(9, dtype=np.int64),
+            loop_ceil=np.ones(9, dtype=np.int64),
+        )
+        with pytest.raises(InvalidSendMatrix, match="no self-loops"):
+            compact.validate(graph, np.full(9, 10, dtype=np.int64))
+
+    def test_valid_rounds_pass(self, cycle12):
+        loads = _loads_for(cycle12)
+        for name in STRUCTURED_ALGORITHMS:
+            compact = make(name).bind(cycle12).sends_structured(loads, 1)
+            compact.validate(cycle12, loads)
 
 
 class _OverdrawingStructured(SendFloor):
@@ -592,3 +733,42 @@ class TestLateAttach:
         )
         with pytest.raises(ValueError, match="dense sends"):
             simulator.attach(DenseOnly())
+
+
+class TestRoundAllocationBudget:
+    """Peak bytes one structured round allocates, in n-vectors.
+
+    cycle(2^16) (d = 2, d+ = 4), three warm-up rounds, then one traced
+    round.  The budgets are the measured peaks plus 0.1: a fresh
+    n-vector temporary (1.0) or an n·d bool (0.25) left live at the
+    peak shows.  For reference, the rounds before the pass-count work
+    peaked at 8.25 (rotor) and 7.0 (SEND) n-vectors.
+    """
+
+    BUDGET = {"rotor_router": 7.35, "send_floor": 5.1, "send_rounded": 5.1}
+
+    @pytest.mark.parametrize("algorithm", sorted(BUDGET))
+    def test_peak_within_budget(self, algorithm):
+        n = 2**16
+        graph = families.cycle(n)
+        loads = np.random.default_rng(0).integers(0, 1000, n)
+        simulator = Simulator(
+            graph,
+            make(algorithm),
+            loads,
+            engine="structured",
+            record_history=False,
+        )
+        for _ in range(3):
+            simulator.step()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            simulator.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vectors = (peak - start) / (8 * n)
+        assert vectors <= self.BUDGET[algorithm], (
+            f"{algorithm} round peaked at {vectors:.2f} n-vectors"
+        )

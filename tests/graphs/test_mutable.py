@@ -109,6 +109,18 @@ def test_from_graph_copies_and_synthesizes_true_degrees(build):
     np.testing.assert_array_equal(base.true_degrees, build().true_degrees)
 
 
+def test_from_graph_copies_a_mutable_sources_active_mask():
+    source = _cycle_mutable()
+    source.deactivate_node(2)
+    copy = MutableBalancingGraph.from_graph(source)
+    assert not copy.active[2]
+    np.testing.assert_array_equal(copy.active, source.active)
+    np.testing.assert_array_equal(copy.true_degrees, source.true_degrees)
+    # A copy, not a view: reactivating in the copy leaves the source.
+    copy.active[2] = True
+    assert not source.active[2]
+
+
 def test_constructor_rejects_out_of_range_neighbor():
     # Path 0-1-2 with node 0 listing 5.
     with pytest.raises(

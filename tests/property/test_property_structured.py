@@ -7,6 +7,8 @@ across graph families, load shapes, self-loop counts, looped and
 batched execution.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms.registry import make
 from repro.core.engine import Simulator
+from repro.core.structured import ShiftDivider, divider
 from repro.graphs import families
+from repro.graphs.datacenter import fat_tree
 from repro.scenarios.batch import BatchRunner
 from tests.helpers import balancing_graphs, load_vectors
 
@@ -194,3 +198,99 @@ def test_simulator_matches_batch_structured():
             batch.final_loads[replica], looped.final_loads
         )
         assert batch.histories[replica] == looped.discrepancy_history
+
+
+INT64 = np.iinfo(np.int64)
+DIVISORS = [2, 3, 4, 6, 8, 16, 64]
+
+
+def _edge_values(divisor):
+    """Around zero, around the divisor, and the far ends of int64."""
+    values = [0, 1, -1, divisor - 1, divisor, divisor + 1, -divisor,
+              -divisor - 1, 2**40 + 7, -(2**40) - 7, 2**62, -(2**62),
+              INT64.max, INT64.min, INT64.max - divisor,
+              INT64.min + divisor]
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("divisor", DIVISORS)
+@settings(max_examples=30, deadline=None)
+@given(
+    values=st.lists(
+        st.integers(int(INT64.min), int(INT64.max)), min_size=1,
+        max_size=40,
+    )
+)
+def test_divider_matches_numpy_divmod(divisor, values):
+    """Shift/mask (powers of two) and // alike equal np.divmod."""
+    x = np.concatenate(
+        [_edge_values(divisor), np.array(values, dtype=np.int64)]
+    )
+    split = divider(divisor)
+    expected_q, expected_r = np.divmod(x, divisor)
+    quotient, rest = split.divmod(x)
+    np.testing.assert_array_equal(quotient, expected_q)
+    np.testing.assert_array_equal(rest, expected_r)
+    assert quotient.dtype == rest.dtype == np.int64
+    np.testing.assert_array_equal(split.floor(x), expected_q)
+    assert isinstance(split, ShiftDivider) == (divisor in (2, 4, 8, 16, 64))
+    # Bound balancers hold one; it must survive a pickle round trip.
+    clone = pickle.loads(pickle.dumps(split))
+    np.testing.assert_array_equal(clone.divmod(x)[1], expected_r)
+    # wrap: in place, for one turn's worth of overshoot.
+    turn = np.arange(2 * divisor, dtype=np.int64)
+    wrapped = turn.copy()
+    assert split.wrap(wrapped) is wrapped
+    np.testing.assert_array_equal(wrapped, turn % divisor)
+
+
+def test_divider_rejects_nonpositive_divisors():
+    for divisor in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            divider(divisor)
+
+
+PARITY_GRAPHS = {
+    "cycle_loops1": lambda: families.cycle(16, num_self_loops=1),
+    "cycle_loops2": lambda: families.cycle(16, num_self_loops=2),
+    "cycle_loops3": lambda: families.cycle(16, num_self_loops=3),
+    "cycle_loops4": lambda: families.cycle(16, num_self_loops=4),
+    "hypercube": lambda: families.hypercube(4),
+    "fat_tree": lambda: fat_tree(4),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm, name",
+    [
+        (algorithm, name)
+        for name in sorted(PARITY_GRAPHS)
+        for algorithm in STRUCTURED_ALGORITHMS
+        # SEND([x/d+]) needs d+ >= 2d.
+        if (algorithm, name) != ("send_rounded", "cycle_loops1")
+    ],
+)
+def test_structured_to_dense_and_dense_engine_agree(algorithm, name):
+    """Per round: the compact round expands to the dense rule's sends,
+    its remainder is the dense one, and the structured engine's loads
+    equal the dense engine's, over d+ = 3, 4, 5, 6, 8 (shift and
+    ``//``) and a padded fabric."""
+    graph = PARITY_GRAPHS[name]()
+    rng = np.random.default_rng(5)
+    loads = rng.integers(0, 10 * graph.total_degree, graph.num_nodes)
+    twin = make(algorithm).bind(graph)
+    balancer = make(algorithm).bind(graph)
+    dense_run = Simulator(graph, make(algorithm), loads, engine="dense")
+    structured_run = Simulator(
+        graph, make(algorithm), loads, engine="structured"
+    )
+    for t in range(1, 25):
+        compact = balancer.sends_structured(loads, t)
+        sends = twin.sends(loads, t)
+        np.testing.assert_array_equal(compact.to_dense(graph), sends)
+        np.testing.assert_array_equal(
+            compact.remainder(graph, loads), loads - sends.sum(axis=1)
+        )
+        loads = compact.apply(graph, loads)
+        np.testing.assert_array_equal(loads, dense_run.step())
+        np.testing.assert_array_equal(loads, structured_run.step())
