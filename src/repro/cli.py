@@ -506,12 +506,16 @@ def _run_scenario(args) -> int:
     )
     from repro.scenarios import Scenario, ScenarioSuite
 
-    with open(args.path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if "scenarios" in data:
-        suite = ScenarioSuite.from_dict(data)
-    else:
-        suite = ScenarioSuite((Scenario.from_dict(data),))
+    try:
+        with open(args.path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if isinstance(data, dict) and "scenarios" in data:
+            suite = ScenarioSuite.from_dict(data)
+        else:
+            suite = ScenarioSuite((Scenario.from_dict(data),))
+    except (OSError, ValueError) as exc:
+        print(f"scenario: {args.path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
     if args.resume and not args.cache:
         raise SystemExit("scenario: --resume requires the cache "
                          "(drop --no-cache)")

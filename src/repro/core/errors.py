@@ -5,8 +5,9 @@ class SimulationError(Exception):
     """Base class for simulation-core errors."""
 
 
-class InvalidLoadVector(SimulationError):
-    """Raised when an initial load vector fails validation."""
+class InvalidLoadVector(SimulationError, ValueError):
+    """Raised when an initial load vector, or a load factory's
+    parameter, fails validation."""
 
 
 class InvalidSendMatrix(SimulationError):

@@ -21,6 +21,8 @@ samples.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from repro.core.errors import InvalidInjection, InvalidLoadVector
@@ -127,9 +129,17 @@ def validate_delta(
     return delta
 
 
+def _check_counts(**counts) -> None:
+    """Reject a non-integer count: ``int64`` would truncate a float."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidLoadVector(f"{name} must be an integer, got {value!r}")
+
+
 @register_load_spec("point_mass")
 def point_mass(n: int, tokens: int, node: int = 0) -> np.ndarray:
     """All ``tokens`` on a single node — initial discrepancy ``K = tokens``."""
+    _check_counts(tokens=tokens, node=node)
     if not 0 <= node < n:
         raise InvalidLoadVector(f"node {node} out of range [0, {n})")
     if tokens < 0:
@@ -142,6 +152,7 @@ def point_mass(n: int, tokens: int, node: int = 0) -> np.ndarray:
 @register_load_spec("bimodal")
 def bimodal(n: int, high: int, low: int = 0) -> np.ndarray:
     """First half of the nodes at ``high``, second half at ``low``."""
+    _check_counts(high=high, low=low)
     if high < low:
         raise InvalidLoadVector("high must be >= low")
     loads = np.full(n, low, dtype=np.int64)
@@ -156,6 +167,7 @@ def uniform_random(
     seed: int,
 ) -> np.ndarray:
     """``total_tokens`` thrown uniformly at random onto ``n`` nodes."""
+    _check_counts(total_tokens=total_tokens)
     if total_tokens < 0:
         raise InvalidLoadVector("total_tokens must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -166,6 +178,7 @@ def uniform_random(
 @register_load_spec("balanced")
 def balanced(n: int, per_node: int) -> np.ndarray:
     """Perfectly balanced vector (useful as a fixed point in tests)."""
+    _check_counts(per_node=per_node)
     if per_node < 0:
         raise InvalidLoadVector("per_node must be nonnegative")
     return np.full(n, per_node, dtype=np.int64)
@@ -174,6 +187,7 @@ def balanced(n: int, per_node: int) -> np.ndarray:
 @register_load_spec("linear_gradient")
 def linear_gradient(n: int, step: int = 1, base: int = 0) -> np.ndarray:
     """Loads ``base, base+step, ..., base+(n-1)*step`` — discrepancy ``(n-1)*step``."""
+    _check_counts(step=step, base=base)
     if step < 0 or base < 0:
         raise InvalidLoadVector("step and base must be nonnegative")
     return (base + step * np.arange(n)).astype(np.int64)
@@ -188,6 +202,7 @@ def random_spikes(
     base: int = 0,
 ) -> np.ndarray:
     """``num_spikes`` random nodes at ``base + spike_height``, rest at ``base``."""
+    _check_counts(num_spikes=num_spikes, spike_height=spike_height, base=base)
     if num_spikes < 0 or num_spikes > n:
         raise InvalidLoadVector(f"num_spikes must be in [0, {n}]")
     rng = np.random.default_rng(seed)
@@ -209,6 +224,7 @@ def adversarial_split(
     the antipodal index — the adversarial placement for ring-like
     topologies, maximizing the distance mass must travel.
     """
+    _check_counts(tokens=tokens)
     if tokens < 0:
         raise InvalidLoadVector("tokens must be nonnegative")
     if not 0.0 <= fraction <= 1.0:
@@ -233,6 +249,7 @@ def skewed(
     few nodes carry most of the mass — the heavy-tailed traffic shape of
     real schedulers, between ``point_mass`` and ``uniform_random``.
     """
+    _check_counts(total_tokens=total_tokens)
     if total_tokens < 0:
         raise InvalidLoadVector("total_tokens must be nonnegative")
     if alpha < 0:

@@ -27,13 +27,12 @@ scenario JSON and the CLI can request them declaratively via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.registry import Registry, freeze_params, parse_spec_shorthand
-from repro.registry import spec_fields
+from repro.registry import Registry
+from repro.specs import RegistrySpec
 
 #: Capability constants — what a probe consumes each round.
 LOADS = "loads"
@@ -180,8 +179,7 @@ def loads_only(probes: Iterable[Probe]) -> bool:
     return all(probe.needs == LOADS for probe in probes)
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(RegistrySpec):
     """A registered probe by name plus construction parameters.
 
     The declarative counterpart of instantiating a probe class: round-
@@ -190,33 +188,12 @@ class ProbeSpec:
     leak state across runs.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __hash__(self) -> int:
-        return hash((self.name, freeze_params(self.params)))
+    registry = PROBES
+    instance_type = object  # build() adapts duck-typed observers
+    kind = "probe"
 
     def build(self) -> Probe:
-        probe = PROBES.create(self.name, **self.params)
-        if not isinstance(probe, Probe):
-            probe = as_probe(probe)
-        return probe
-
-    def to_dict(self) -> dict:
-        data: dict = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeSpec":
-        data = spec_fields(data, "probe")
-        return cls(data["name"], dict(data.get("params", {})))
-
-    @classmethod
-    def parse(cls, text: str) -> "ProbeSpec":
-        """Parse CLI shorthand: ``name`` or ``name:{json params}``."""
-        return cls(*parse_spec_shorthand(text, "probe"))
+        return as_probe(self._create(self.registry.create))
 
 
 def build_probes(
@@ -229,14 +206,9 @@ def build_probes(
     :func:`as_probe`).  Used by the scenario layer to instantiate one
     independent set per replica.
     """
-    built: list[Probe] = []
-    for spec in specs:
-        if isinstance(spec, ProbeSpec):
-            built.append(spec.build())
-        elif isinstance(spec, Probe):
-            built.append(spec)
-        elif isinstance(spec, type) or callable(spec):
-            built.append(as_probe(spec()))
-        else:
-            built.append(as_probe(spec))
-    return tuple(built)
+    return tuple(
+        as_probe(
+            spec() if callable(spec) and not isinstance(spec, Probe) else spec
+        )
+        for spec in specs
+    )

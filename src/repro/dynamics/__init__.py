@@ -25,7 +25,7 @@ from repro.dynamics.injectors import (
     register_injector,
     validate_delta,
 )
-from repro.dynamics.spec import DynamicsSpec, as_injector
+from repro.dynamics.spec import DynamicsSpec
 
 __all__ = [
     "Injector",
@@ -38,7 +38,6 @@ __all__ = [
     "RandomChurn",
     "Scripted",
     "DynamicsSpec",
-    "as_injector",
 ]
 
 # Registers the datacenter traffic generators in INJECTORS so any

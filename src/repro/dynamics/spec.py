@@ -14,7 +14,7 @@ streams, exactly like seeded load specs.  The shared machinery lives in
 from __future__ import annotations
 
 from repro.dynamics.injectors import INJECTORS, Injector
-from repro.specs import RegistrySpec, coerce_spec
+from repro.specs import RegistrySpec
 
 
 class DynamicsSpec(RegistrySpec):
@@ -24,13 +24,3 @@ class DynamicsSpec(RegistrySpec):
     instance_type = Injector
     kind = "injector"
 
-
-def as_injector(dynamics, replica: int = 0) -> Injector | None:
-    """Coerce ``dynamics`` into a fresh-enough :class:`Injector`.
-
-    ``None`` passes through (static workload); a :class:`DynamicsSpec`
-    builds a fresh instance for ``replica``; a ready
-    :class:`Injector` instance passes through as-is (the caller owns
-    its state).
-    """
-    return coerce_spec(dynamics, DynamicsSpec, replica)

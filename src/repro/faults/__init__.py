@@ -21,7 +21,7 @@ from repro.faults.schedules import (
     structured_port_values,
     validate_round_faults,
 )
-from repro.faults.spec import FaultSpec, as_fault_schedule
+from repro.faults.spec import FaultSpec
 
 __all__ = [
     "FAULTS",
@@ -33,7 +33,6 @@ __all__ = [
     "LinkFailures",
     "NodeCrashes",
     "MessageDrop",
-    "as_fault_schedule",
     "apply_round_faults",
     "dense_port_values",
     "structured_port_values",

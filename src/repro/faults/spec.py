@@ -14,7 +14,7 @@ shared machinery lives in :class:`repro.specs.RegistrySpec`.
 from __future__ import annotations
 
 from repro.faults.schedules import FAULTS, FaultSchedule
-from repro.specs import RegistrySpec, coerce_spec
+from repro.specs import RegistrySpec
 
 
 class FaultSpec(RegistrySpec):
@@ -24,13 +24,3 @@ class FaultSpec(RegistrySpec):
     instance_type = FaultSchedule
     kind = "fault"
 
-
-def as_fault_schedule(faults, replica: int = 0) -> FaultSchedule | None:
-    """Coerce ``faults`` into a fresh-enough :class:`FaultSchedule`.
-
-    ``None`` passes through (fault-free fabric); a :class:`FaultSpec`
-    builds a fresh instance for ``replica``; a ready
-    :class:`FaultSchedule` instance passes through as-is (the caller
-    owns its state).
-    """
-    return coerce_spec(faults, FaultSpec, replica)

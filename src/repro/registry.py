@@ -29,11 +29,10 @@ F = TypeVar("F", bound=Callable)
 def freeze_params(value):
     """Recursively convert a params tree into something hashable.
 
-    The shared hashing helper behind every ``(name, params)`` spec
-    (:class:`~repro.scenarios.spec.GraphSpec` / ``LoadSpec``,
-    :class:`~repro.core.probes.ProbeSpec`,
-    :class:`~repro.dynamics.spec.DynamicsSpec`): dicts become sorted
-    key/value tuples, sequences become tuples, sets become frozensets.
+    The hashing helper behind :class:`repro.specs.RegistrySpec`, the
+    base of every ``(name, params)`` spec: dicts become sorted
+    key/value tuples, sequences become tuples, sets become frozensets,
+    so equal params hash equally whatever their key order.
     """
     if isinstance(value, dict):
         return tuple(
@@ -44,45 +43,6 @@ def freeze_params(value):
     if isinstance(value, set):
         return frozenset(freeze_params(v) for v in value)
     return value
-
-
-def parse_spec_shorthand(text: str, kind: str) -> tuple[str, dict]:
-    """Parse the CLI spec shorthand ``name`` or ``name:{json params}``.
-
-    The shared grammar behind ``--probe`` and ``--inject``: everything
-    after the first ``:`` is a JSON object of constructor params.
-    Returns ``(name, params)``.
-    """
-    import json
-
-    if ":" not in text:
-        return text, {}
-    name, _, raw = text.partition(":")
-    params = json.loads(raw)
-    if not isinstance(params, dict):
-        raise ValueError(
-            f"{kind} params must be a JSON object, got {raw!r}"
-        )
-    return name, params
-
-
-def spec_fields(data, kind: str, required: tuple = ("name",)) -> dict:
-    """Check one serialized spec before reading it.
-
-    ``data`` must be a JSON object holding every ``required`` field,
-    and its ``params``, if any, a JSON object.  Returns ``data``;
-    raises a ``ValueError`` naming ``kind`` and the field otherwise.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{kind} must be a JSON object, got {data!r}")
-    for key in required:
-        if key not in data:
-            raise ValueError(f"{kind} is missing the field {key!r}")
-    if not isinstance(data.get("params", {}), dict):
-        raise ValueError(
-            f"{kind} params must be a JSON object, got {data['params']!r}"
-        )
-    return data
 
 
 class RegistryError(Exception):

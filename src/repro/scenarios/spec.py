@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -55,10 +55,18 @@ from repro.topology.spec import TopologySpec
 from repro.graphs import families
 from repro.graphs.balancing import BalancingGraph
 from repro.graphs.ports import PortGraph
-from repro.registry import freeze_params as _freeze, spec_fields
 from repro.scenarios.batch import BatchRunner
+from repro.specs import RegistrySpec, spec_fields
 
 STOP_KINDS = ("rounds", "target_discrepancy", "converged")
+
+#: A scenario's schedule axes: field, spec type, noun for errors, and
+#: the mark that joins the schedule's name to :meth:`Scenario.label`.
+SCHEDULE_AXES = (
+    ("dynamics", DynamicsSpec, "injector", "+"),
+    ("faults", FaultSpec, "fault schedule", "!"),
+    ("topology", TopologySpec, "topology schedule", "~"),
+)
 
 
 def canonical_json(data) -> str:
@@ -79,6 +87,10 @@ def content_hash(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _check_type(spec, name: str, kind: type) -> None:
     """Raise unless ``spec.<name>`` is exactly a ``kind``: a ``bool`` is
     not an ``int`` here, nor a ``1`` a ``bool``."""
@@ -87,30 +99,28 @@ def _check_type(spec, name: str, kind: type) -> None:
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """A graph family by name plus its construction parameters."""
+class GraphSpec(RegistrySpec):
+    """A graph family by name plus its construction parameters.
 
-    family: str
-    params: dict = field(default_factory=dict)
+    Serialized as ``{"family": ..., "params": {...}}``; :attr:`family`
+    reads the name.
+    """
 
-    def __hash__(self) -> int:
-        return hash((self.family, _freeze(self.params)))
+    instance_type = PortGraph
+    kind = "graph"
+    name_key = "family"
+    always_params = True
 
-    def build(self) -> BalancingGraph:
-        return families.build(self.family, **self.params)
+    @property
+    def family(self) -> str:
+        return self.name
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GraphSpec":
-        data = spec_fields(data, "graph", ("family",))
-        return cls(data["family"], dict(data.get("params", {})))
+    def build(self) -> PortGraph:
+        # families.build names the known families for an unknown one.
+        return self._create(families.build)
 
 
-@dataclass(frozen=True)
-class LoadSpec:
+class LoadSpec(RegistrySpec):
     """A named initial-load distribution plus its parameters.
 
     Names resolve against :data:`repro.core.loads.LOAD_SPECS`
@@ -120,64 +130,39 @@ class LoadSpec:
     (deterministic) workloads are identical across replicas.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __hash__(self) -> int:
-        return hash((self.name, _freeze(self.params)))
+    registry = LOAD_SPECS
+    instance_type = np.ndarray
+    kind = "loads"
+    always_params = True
 
     def build(self, n: int, replica: int = 0) -> np.ndarray:
-        params = dict(self.params)
-        if replica and "seed" in params:
-            params["seed"] += replica
-        return LOAD_SPECS.create(self.name, n=n, **params)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadSpec":
-        data = spec_fields(data, "loads")
-        return cls(data["name"], dict(data.get("params", {})))
+        return self._create(self.registry.create, replica, n=n)
 
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
-    """A registered balancer by name plus seed and extra parameters.
+class AlgorithmSpec(RegistrySpec):
+    """A registered balancer by name plus extra parameters and a seed.
 
     Replica ``r`` is built with ``seed + r`` so randomized schemes get
     independent, reproducible streams; deterministic schemes ignore the
     seed entirely.
     """
 
-    name: str
     seed: int = 0
-    params: dict = field(default_factory=dict)
+
+    instance_type = Balancer
+    kind = "algorithm"
+    always_params = True
+
+    __hash__ = RegistrySpec.__hash__
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _check_type(self, "seed", int)
 
-    def __hash__(self) -> int:
-        return hash((self.name, self.seed, _freeze(self.params)))
-
     def build(self, replica: int = 0) -> Balancer:
-        return make(self.name, seed=self.seed + replica, **self.params)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlgorithmSpec":
-        data = spec_fields(data, "algorithm")
-        return cls(
-            data["name"],
-            data.get("seed", 0),
-            dict(data.get("params", {})),
-        )
+        # Through make, so an unknown name keeps its KeyError.
+        return self._create(make, seed=self.seed + replica)
 
 
 @dataclass(frozen=True)
@@ -206,6 +191,11 @@ class StopRule:
             raise ValueError(
                 f"unknown stop kind {self.kind!r}; known: {STOP_KINDS}"
             )
+        for key in ("rounds", "target", "max_rounds"):
+            if getattr(self, key) is not None:
+                _check_type(self, key, int)
+        _check_type(self, "check_every", int)
+        _check_type(self, "window", int)
         if self.kind == "rounds":
             if self.rounds is None or self.rounds < 0:
                 raise ValueError("kind='rounds' needs rounds >= 0")
@@ -217,6 +207,8 @@ class StopRule:
             raise ValueError("check_every must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.kind != "converged" and self.window != 16:
+            raise ValueError("window applies only to kind='converged'")
 
     @classmethod
     def fixed(cls, rounds: int) -> "StopRule":
@@ -284,7 +276,7 @@ class StopRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StopRule":
-        return cls(**spec_fields(data, "stop", ()))
+        return cls(**spec_fields(data, "stop", (), _field_names(cls)))
 
 
 @dataclass
@@ -405,32 +397,18 @@ class Scenario:
             Loads-only probes let a stateless balancer be shared by
             the whole stack; sends-consuming probes get one balancer
             per replica.
-        dynamics: optional dynamic workload — a
-            :class:`~repro.dynamics.spec.DynamicsSpec` (serializes with
-            the scenario; replica ``r`` gets a fresh injector built
-            with ``seed + r``) or, for single-replica programmatic use,
-            a ready :class:`~repro.dynamics.injectors.Injector`.
-            Injection is a vector add, so dynamic scenarios keep the
-            structured engine.
-        faults: optional network-fault schedule — a
-            :class:`~repro.faults.spec.FaultSpec` (serializes with the
-            scenario; replica ``r`` gets a fresh schedule built with
-            ``seed + r``) or, for single-replica programmatic use, a
-            ready :class:`~repro.faults.schedules.FaultSchedule`.
-            Fault corrections are sparse ``O(faults)`` fix-ups after
-            the fault-free round, so faulty scenarios keep the
-            structured engine.
-        topology: optional dynamic-topology schedule — a
-            :class:`~repro.topology.spec.TopologySpec` (serializes with
-            the scenario; replica ``r`` gets a fresh schedule built
-            with ``seed + r``) or, for single-replica programmatic
-            use, a ready
-            :class:`~repro.topology.schedules.TopologySchedule`.  Each
-            replica churns its own private mutable graph copy; the
-            engines apply events incrementally, so churny scenarios
-            keep the structured engine (graphs diverge per replica, so
-            each replica runs its own balancer).  Mutually exclusive
-            with ``faults``.
+        dynamics, faults, topology: the optional schedule axes
+            (:data:`SCHEDULE_AXES`) — injection, network faults and
+            graph churn.  Each is a registry spec
+            (:class:`~repro.dynamics.spec.DynamicsSpec`,
+            :class:`~repro.faults.spec.FaultSpec`,
+            :class:`~repro.topology.spec.TopologySpec`), which
+            serializes with the scenario and builds replica ``r`` a
+            fresh schedule with ``seed + r``, or, for single-replica
+            programmatic use, a ready instance.  All three keep the
+            structured engine.  Under churn each replica runs its own
+            graph copy and balancer; ``faults`` and ``topology`` are
+            mutually exclusive.
         record_history: keep per-round discrepancy trajectories.
         validate_every_round: structural validation each round.
         name: optional label used in reports.
@@ -459,6 +437,8 @@ class Scenario:
         _check_type(self, "replicas", int)
         _check_type(self, "record_history", bool)
         _check_type(self, "validate_every_round", bool)
+        _check_type(self, "name", str)
+        _check_type(self, "engine", str)
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.engine != "auto" and self.engine not in ENGINES:
@@ -466,42 +446,24 @@ class Scenario:
                 f"unknown engine {self.engine!r}; registered engines: "
                 f"{', '.join(engine_names())} (or 'auto')"
             )
-        if (
-            self.dynamics is not None
-            and not isinstance(self.dynamics, DynamicsSpec)
-            and self.replicas > 1
-        ):
-            raise ValueError(
-                "multi-replica scenarios need fresh injectors per "
-                "replica; pass a DynamicsSpec instead of an instance "
-                f"({type(self.dynamics).__name__})"
-            )
-        if (
-            self.faults is not None
-            and not isinstance(self.faults, FaultSpec)
-            and self.replicas > 1
-        ):
-            raise ValueError(
-                "multi-replica scenarios need fresh fault schedules "
-                "per replica; pass a FaultSpec instead of an instance "
-                f"({type(self.faults).__name__})"
-            )
         if self.faults is not None and self.topology is not None:
             raise ValueError(
                 "faults and topology cannot be combined in one "
                 "scenario (fault schedules precompute canonical port "
                 "maps that topology churn invalidates)"
             )
-        if (
-            self.topology is not None
-            and not isinstance(self.topology, TopologySpec)
-            and self.replicas > 1
-        ):
-            raise ValueError(
-                "multi-replica scenarios need fresh topology schedules "
-                "per replica; pass a TopologySpec instead of an "
-                f"instance ({type(self.topology).__name__})"
-            )
+        for key, spec_type, noun, _ in SCHEDULE_AXES:
+            value = getattr(self, key)
+            if (
+                value is not None
+                and not isinstance(value, spec_type)
+                and self.replicas > 1
+            ):
+                raise ValueError(
+                    f"multi-replica scenarios need fresh {noun}s per "
+                    f"replica; pass a {spec_type.__name__} instead of "
+                    f"an instance ({type(value).__name__})"
+                )
         if self.replicas > 1:
             # Anything that is not a spec or a factory is a ready
             # instance (Probe or duck-typed observer) whose
@@ -531,12 +493,10 @@ class Scenario:
             else self.graph.family
         )
         label = f"{self.algorithm.name} @ {graph} / {self.loads.name}"
-        if self.dynamics is not None:
-            label += f" + {self.dynamics.name}"
-        if self.faults is not None:
-            label += f" ! {self.faults.name}"
-        if self.topology is not None:
-            label += f" ~ {self.topology.name}"
+        for key, _, _, mark in SCHEDULE_AXES:
+            value = getattr(self, key)
+            if value is not None:
+                label += f" {mark} {value.name}"
         return label
 
     def build_graph(self) -> PortGraph:
@@ -570,29 +530,6 @@ class Scenario:
                 "probe factories/instances cannot be serialized; use "
                 "registered ProbeSpecs (repro.core.probes.register_probe)"
             )
-        if self.dynamics is not None and not isinstance(
-            self.dynamics, DynamicsSpec
-        ):
-            raise ValueError(
-                "injector instances cannot be serialized; use a "
-                "registered DynamicsSpec "
-                "(repro.dynamics.register_injector)"
-            )
-        if self.faults is not None and not isinstance(
-            self.faults, FaultSpec
-        ):
-            raise ValueError(
-                "fault-schedule instances cannot be serialized; use a "
-                "registered FaultSpec (repro.faults.register_fault)"
-            )
-        if self.topology is not None and not isinstance(
-            self.topology, TopologySpec
-        ):
-            raise ValueError(
-                "topology-schedule instances cannot be serialized; use "
-                "a registered TopologySpec "
-                "(repro.topology.register_topology)"
-            )
         data = {
             "graph": self.graph.to_dict(),
             "algorithm": self.algorithm.to_dict(),
@@ -607,12 +544,16 @@ class Scenario:
             data["engine"] = self.engine
         if self.probes:
             data["probes"] = [spec.to_dict() for spec in self.probes]
-        if self.dynamics is not None:
-            data["dynamics"] = self.dynamics.to_dict()
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        if self.topology is not None:
-            data["topology"] = self.topology.to_dict()
+        for key, spec_type, noun, _ in SCHEDULE_AXES:
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if not isinstance(value, spec_type):
+                raise ValueError(
+                    f"{noun} instances cannot be serialized; use a "
+                    f"registered {spec_type.__name__}"
+                )
+            data[key] = value.to_dict()
         return data
 
     def canonical_json(self) -> str:
@@ -629,37 +570,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        spec_fields(data, "scenario", ("graph", "algorithm", "loads", "stop"))
-        return cls(
+        required = ("graph", "algorithm", "loads", "stop")
+        spec_fields(data, "scenario", required, _field_names(cls))
+        probes = data.get("probes", [])
+        if not isinstance(probes, list):
+            raise ValueError(
+                f"scenario probes must be a JSON list, got {probes!r}"
+            )
+        kwargs = dict(
+            data,
             graph=GraphSpec.from_dict(data["graph"]),
             algorithm=AlgorithmSpec.from_dict(data["algorithm"]),
             loads=LoadSpec.from_dict(data["loads"]),
             stop=StopRule.from_dict(data["stop"]),
-            replicas=data.get("replicas", 1),
-            probes=tuple(
-                ProbeSpec.from_dict(entry)
-                for entry in data.get("probes", [])
-            ),
-            dynamics=(
-                DynamicsSpec.from_dict(data["dynamics"])
-                if data.get("dynamics") is not None
-                else None
-            ),
-            faults=(
-                FaultSpec.from_dict(data["faults"])
-                if data.get("faults") is not None
-                else None
-            ),
-            topology=(
-                TopologySpec.from_dict(data["topology"])
-                if data.get("topology") is not None
-                else None
-            ),
-            record_history=data.get("record_history", True),
-            validate_every_round=data.get("validate_every_round", True),
-            name=data.get("name", ""),
-            engine=data.get("engine", "auto"),
+            probes=tuple(ProbeSpec.from_dict(entry) for entry in probes),
         )
+        for key, spec_type, _, _ in SCHEDULE_AXES:
+            if data.get(key) is not None:
+                kwargs[key] = spec_type.from_dict(data[key])
+        return cls(**kwargs)
 
     # -- execution ------------------------------------------------------
 
@@ -718,7 +647,7 @@ class Scenario:
         # replica sub-range sees the same seed offsets as a full run.
         dynamics, faults, topology = (
             [value.build(replica) for replica in replica_range]
-            if isinstance(value, (DynamicsSpec, FaultSpec, TopologySpec))
+            if isinstance(value, RegistrySpec)
             else value
             for value in (self.dynamics, self.faults, self.topology)
         )
@@ -771,6 +700,7 @@ class ScenarioSuite:
 
     def __post_init__(self) -> None:
         self.scenarios = tuple(self.scenarios)
+        _check_type(self, "name", str)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -871,10 +801,13 @@ class ScenarioSuite:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSuite":
+        spec_fields(data, "suite", (), ("name", "scenarios"))
+        scenarios = data.get("scenarios", [])
+        if not isinstance(scenarios, list):
+            raise ValueError(
+                f"suite scenarios must be a JSON list, got {scenarios!r}"
+            )
         return cls(
-            tuple(
-                Scenario.from_dict(entry)
-                for entry in data.get("scenarios", [])
-            ),
+            tuple(Scenario.from_dict(entry) for entry in scenarios),
             name=data.get("name", ""),
         )

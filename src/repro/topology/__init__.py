@@ -19,7 +19,7 @@ from repro.topology.schedules import (
     register_topology,
     validate_topology_events,
 )
-from repro.topology.spec import TopologySpec, as_topology_schedule
+from repro.topology.spec import TopologySpec
 
 __all__ = [
     "TOPOLOGIES",
@@ -32,7 +32,6 @@ __all__ = [
     "ExpanderRewire",
     "ScriptedTopology",
     "TopologySpec",
-    "as_topology_schedule",
     "apply_topology_events",
     "validate_topology_events",
 ]

@@ -15,7 +15,7 @@ schedules.  The shared machinery lives in
 
 from __future__ import annotations
 
-from repro.specs import RegistrySpec, coerce_spec
+from repro.specs import RegistrySpec
 from repro.topology.schedules import TOPOLOGIES, TopologySchedule
 
 
@@ -26,15 +26,3 @@ class TopologySpec(RegistrySpec):
     instance_type = TopologySchedule
     kind = "topology"
 
-
-def as_topology_schedule(
-    topology, replica: int = 0
-) -> TopologySchedule | None:
-    """Coerce ``topology`` into a fresh-enough :class:`TopologySchedule`.
-
-    ``None`` passes through (static fabric); a :class:`TopologySpec`
-    builds a fresh instance for ``replica``; a ready
-    :class:`TopologySchedule` instance passes through as-is (the
-    caller owns its state).
-    """
-    return coerce_spec(topology, TopologySpec, replica)

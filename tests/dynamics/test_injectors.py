@@ -12,10 +12,10 @@ from repro.dynamics import (
     DynamicsSpec,
     RandomChurn,
     Scripted,
-    as_injector,
     validate_delta,
 )
 from repro.graphs import families
+from repro.specs import coerce_spec
 
 
 class TestRegistry:
@@ -205,14 +205,16 @@ class TestDynamicsSpec:
         peak = DynamicsSpec("adversarial_peak", {"rate": 2})
         assert peak.build(5).rate == 2
 
-    def test_as_injector_coercion(self):
-        assert as_injector(None) is None
-        built = as_injector(DynamicsSpec("adversarial_peak", {"rate": 1}))
+    def test_coerce_spec_injectors(self):
+        assert coerce_spec(None, DynamicsSpec) is None
+        built = coerce_spec(
+            DynamicsSpec("adversarial_peak", {"rate": 1}), DynamicsSpec
+        )
         assert isinstance(built, AdversarialPeak)
         instance = AdversarialPeak(rate=1)
-        assert as_injector(instance) is instance
+        assert coerce_spec(instance, DynamicsSpec) is instance
         with pytest.raises(TypeError):
-            as_injector("adversarial_peak")
+            coerce_spec("adversarial_peak", DynamicsSpec)
 
 
 class TestEngineBookkeeping:

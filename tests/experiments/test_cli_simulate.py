@@ -183,6 +183,27 @@ class TestScenarioCommand:
         with pytest.raises(SystemExit, match="--resume requires"):
             main(["scenario", str(path), "--no-cache", "--resume"])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"graph": 3}', "scenario is missing the field 'algorithm'"),
+            ("[1, 2]", "scenario must be a JSON object"),
+            ('{"scenarios": {}}', "suite scenarios must be a JSON list"),
+            ("{not json", "Expecting property name"),
+        ],
+    )
+    def test_malformed_file_is_one_line_and_exit_2(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario: {path}: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_single_scenario_file_and_json_output(
         self, tmp_path, capsys, monkeypatch
     ):

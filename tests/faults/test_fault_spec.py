@@ -7,8 +7,8 @@ from repro.faults import (
     FaultSchedule,
     FaultSpec,
     LinkFailures,
-    as_fault_schedule,
 )
+from repro.specs import coerce_spec
 
 
 def test_registry_lists_builtin_schedules():
@@ -54,12 +54,12 @@ def test_unknown_name_raises():
         FaultSpec("solar_flare").build()
 
 
-def test_as_fault_schedule_coercions():
-    assert as_fault_schedule(None) is None
-    built = as_fault_schedule(FaultSpec("message_drop", {"seed": 1}), 2)
+def test_coerce_spec_fault_schedules():
+    assert coerce_spec(None, FaultSpec) is None
+    built = coerce_spec(FaultSpec("message_drop", {"seed": 1}), FaultSpec, 2)
     assert built.seed == 3
     ready = LinkFailures(rate=0.5)
-    assert as_fault_schedule(ready) is ready
+    assert coerce_spec(ready, FaultSpec) is ready
     assert isinstance(ready, FaultSchedule)
     with pytest.raises(TypeError):
-        as_fault_schedule("message_drop")
+        coerce_spec("message_drop", FaultSpec)

@@ -20,11 +20,12 @@ from repro.core.fairness import (
 )
 from repro.core.flows import FlowTracker
 from repro.core.monitors import LoadBoundsMonitor
-from repro.dynamics.spec import as_injector
-from repro.faults.spec import as_fault_schedule
+from repro.dynamics.spec import DynamicsSpec
+from repro.faults.spec import FaultSpec
 from repro.graphs import families
 from repro.scenarios.spec import GraphSpec, ScenarioResult
-from repro.topology.spec import as_topology_schedule
+from repro.specs import coerce_spec
+from repro.topology.spec import TopologySpec
 
 
 def run_monitored(
@@ -67,9 +68,9 @@ def run_per_replica(scenario, graph=None, replica_range=None) -> ScenarioResult:
             scenario.build_balancer(replica),
             scenario.build_loads(graph, replica),
             probes=scenario.build_probe_set(),
-            dynamics=as_injector(scenario.dynamics, replica),
-            faults=as_fault_schedule(scenario.faults, replica),
-            topology=as_topology_schedule(scenario.topology, replica),
+            dynamics=coerce_spec(scenario.dynamics, DynamicsSpec, replica),
+            faults=coerce_spec(scenario.faults, FaultSpec, replica),
+            topology=coerce_spec(scenario.topology, TopologySpec, replica),
             record_history=scenario.record_history,
             validate_every_round=scenario.validate_every_round,
             engine=scenario.engine,

@@ -7,8 +7,8 @@ from repro.topology import (
     EdgeChurn,
     TopologySchedule,
     TopologySpec,
-    as_topology_schedule,
 )
+from repro.specs import coerce_spec
 
 
 def test_registry_lists_builtin_schedules():
@@ -63,14 +63,14 @@ def test_unknown_name_raises():
         TopologySpec("continental_drift").build()
 
 
-def test_as_topology_schedule_coercions():
-    assert as_topology_schedule(None) is None
-    built = as_topology_schedule(
-        TopologySpec("edge_churn", {"seed": 1}), 2
+def test_coerce_spec_topology_schedules():
+    assert coerce_spec(None, TopologySpec) is None
+    built = coerce_spec(
+        TopologySpec("edge_churn", {"seed": 1}), TopologySpec, 2
     )
     assert built.seed == 3
     ready = EdgeChurn(rate=0.5)
-    assert as_topology_schedule(ready) is ready
+    assert coerce_spec(ready, TopologySpec) is ready
     assert isinstance(ready, TopologySchedule)
     with pytest.raises(TypeError):
-        as_topology_schedule("edge_churn")
+        coerce_spec("edge_churn", TopologySpec)
